@@ -355,12 +355,27 @@ func (i *Instance) Health() obs.HealthState {
 func (i *Instance) boot() {
 	i.Machine = vm.New(i.Module, i.Pool, vm.Config{StepLimit: i.cfg.StepLimit})
 	i.Machine.SetSink(i.obsSink)
+	i.Machine.ObsFlush = i.flushObs
 	i.Machine.TraceSink = i.Trace.Record
 	i.Machine.TraceReadSink = i.Trace.RecordRead
 	if i.Prov != nil {
 		i.Machine.WriteSink = i.Prov.NoteWrite
 		i.Prov.SetClock(i.Machine.Steps)
 	}
+}
+
+// flushObs publishes the tallies the layers under the machine keep per word
+// (see pmem.Pool.FlushObs). The machine runs it at the end of every Call;
+// restart, mitigation and scrub run it on entry, so that activity which
+// bypassed the machine (fault injection, programs driving Pool directly) is
+// published before their own events.
+func (i *Instance) flushObs() {
+	i.Pool.FlushObs()
+	i.Log.FlushObs()
+	if i.Prov != nil {
+		i.Prov.FlushObs()
+	}
+	i.Trace.FlushObs()
 }
 
 // SetObserver installs (or clears, with nil) an observability sink on every
@@ -401,6 +416,7 @@ func (i *Instance) SetObserver(s obs.Sink) {
 func (i *Instance) Scrub() (*ScrubReport, error) {
 	i.lifecycle(EventScrubStart)
 	defer i.lifecycle(EventScrubEnd)
+	i.flushObs()
 	var lineage scrub.LineageFunc
 	if i.Prov != nil {
 		lineage = func(addr uint64) (int, bool) {
@@ -439,6 +455,7 @@ func (i *Instance) Restart() *Trap {
 	if i.cfg.RestartLatency > 0 {
 		time.Sleep(i.cfg.RestartLatency)
 	}
+	i.flushObs()
 	i.Pool.Crash()
 	i.boot()
 	if i.cfg.RecoverFn != "" {
@@ -522,6 +539,7 @@ func (i *Instance) MitigateCall(fn string, args ...int64) (*Report, error) {
 func (i *Instance) runMitigation(ctx *reactor.Context) *Report {
 	i.mitigating.Store(true)
 	i.lifecycle(EventMitigateStart)
+	i.flushObs()
 	defer func() {
 		i.mitigating.Store(false)
 		i.lifecycle(EventMitigateEnd)

@@ -106,12 +106,16 @@ type Log struct {
 	allocs     map[uint64]*AllocRecord
 	allocOrder []uint64
 
-	totalVersions uint64 // every version ever recorded (data-loss accounting)
+	totalVersions  uint64 // every version ever recorded (data-loss accounting)
+	versionedWords uint64 // their data words, summed
 
-	// sink receives checkpointing telemetry; obsOn caches sink.Enabled() so
-	// the per-persist hook pays one predictable branch when disabled.
-	sink  obs.Sink
-	obsOn bool
+	// sink receives checkpointing telemetry; obsOn caches sink.Enabled().
+	// The per-persist hook sends it only its two histogram samples; the
+	// counters are the two tallies above, published by FlushObs less what
+	// published says the sink has already been told.
+	sink      obs.Sink
+	obsOn     bool
+	published struct{ versions, words uint64 }
 }
 
 // NewLog creates an empty checkpoint log.
@@ -128,10 +132,35 @@ func NewLog(maxVersions int) *Log {
 	}
 }
 
-// SetSink installs an observability sink (nil restores the no-op).
+// SetSink installs an observability sink (nil restores the no-op). The
+// outgoing sink is flushed first; the incoming one hears only what happens
+// from here on.
 func (l *Log) SetSink(s obs.Sink) {
+	l.FlushObs()
 	l.sink = obs.OrNop(s)
 	l.obsOn = l.sink.Enabled()
+	l.markPublished()
+}
+
+// markPublished declares everything recorded so far as told to the sink.
+func (l *Log) markPublished() {
+	l.published.versions, l.published.words = l.totalVersions, l.versionedWords
+}
+
+// FlushObs publishes the versions recorded since the last flush and, when
+// there were any, samples the log-size gauges. The machine calls it at the
+// end of every Call (vm.Machine.ObsFlush), so counters are exact and gauges
+// current at request boundaries.
+func (l *Log) FlushObs() {
+	if !l.obsOn {
+		return
+	}
+	grew := obs.CountDelta(l.sink, "ckpt.versions", l.totalVersions, &l.published.versions)
+	obs.CountDelta(l.sink, "ckpt.versioned_words", l.versionedWords, &l.published.words)
+	if grew {
+		l.sink.SetGauge("ckpt.entries", int64(len(l.entries)))
+		l.sink.SetGauge("ckpt.total_versions", int64(l.totalVersions))
+	}
 }
 
 // noteReversion refreshes the reversion gauges after any operation that
@@ -193,11 +222,8 @@ func (l *Log) onPersist(addr uint64, data []uint64) {
 	e.dead = false
 	l.bySeq[v.Seq] = e
 	l.totalVersions++
+	l.versionedWords += uint64(len(data))
 	if l.obsOn {
-		l.sink.Count("ckpt.versions", 1)
-		l.sink.Count("ckpt.versioned_words", int64(len(data)))
-		l.sink.SetGauge("ckpt.entries", int64(len(l.entries)))
-		l.sink.SetGauge("ckpt.total_versions", int64(l.totalVersions))
 		l.sink.Observe("ckpt.versions_per_entry", float64(len(e.Versions)))
 		l.sink.Observe("ckpt.hook.ns", float64(time.Since(hookStart).Nanoseconds()))
 	}

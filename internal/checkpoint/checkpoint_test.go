@@ -4,6 +4,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"arthas/internal/obs"
+	"arthas/internal/obs/obstest"
 	"arthas/internal/pmem"
 )
 
@@ -409,5 +411,77 @@ func TestPropSeqMonotone(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// onPersist sends the sink its two histogram samples and nothing else; the
+// version counters and log-size gauges come from FlushObs, exact and current.
+func TestFlushObsPublishesTallies(t *testing.T) {
+	rec := obs.NewRecorder()
+	calls := &obstest.CallCounter{Inner: rec}
+	pool, log := newRig(3)
+	a, _ := pool.Alloc(8)
+	pool.Store(a, 1)
+	pool.Persist(a, 1) // before any sink: nobody hears it
+	log.SetSink(calls)
+	for i := uint64(0); i < 5; i++ {
+		pool.Store(a+i, i)
+		pool.Persist(a+i, 2)
+	}
+	if n := calls.Calls(); n != 10 {
+		t.Fatalf("5 persists made %d sink calls, want the 10 histogram samples", n)
+	}
+	if rec.CounterValue("ckpt.versions") != 0 {
+		t.Fatal("ckpt.versions published before the flush")
+	}
+	log.FlushObs()
+	if got := rec.CounterValue("ckpt.versions"); got != 5 {
+		t.Errorf("ckpt.versions = %d, want 5", got)
+	}
+	if got := rec.CounterValue("ckpt.versioned_words"); got != 10 {
+		t.Errorf("ckpt.versioned_words = %d, want 10", got)
+	}
+	if got := rec.GaugeValue("ckpt.total_versions"); got != int64(log.TotalVersions()) || got != 6 {
+		t.Errorf("ckpt.total_versions = %d, log has %d", got, log.TotalVersions())
+	}
+	if got := rec.GaugeValue("ckpt.entries"); got != int64(len(log.Entries())) {
+		t.Errorf("ckpt.entries = %d, log has %d", got, len(log.Entries()))
+	}
+	if h := rec.Histogram("ckpt.hook.ns"); h == nil || h.Count != 5 {
+		t.Errorf("ckpt.hook.ns = %+v, want 5 samples", h)
+	}
+	before := calls.Calls()
+	log.FlushObs()
+	if calls.Calls() != before {
+		t.Fatal("idle flush made sink calls")
+	}
+}
+
+// A fork runs dark; adopting it does not publish its versions as this log's.
+func TestAdoptKeepsForkVersionsDark(t *testing.T) {
+	rec := obs.NewRecorder()
+	pool, log := newRig(3)
+	log.SetSink(rec)
+	a, _ := pool.Alloc(4)
+	pool.Store(a, 1)
+	pool.Persist(a, 1)
+
+	fp, fl := pool.Fork(), log.Fork()
+	fp.SetHooks(fl.Hooks())
+	fp.Store(a, 2)
+	fp.Persist(a, 1)
+	fp.Persist(a, 1)
+	log.Adopt(fl)
+	if err := fp.Promote(); err != nil {
+		t.Fatal(err)
+	}
+	pool.Store(a, 3)
+	pool.Persist(a, 1)
+	log.FlushObs()
+	if got := rec.CounterValue("ckpt.versions"); got != 2 {
+		t.Fatalf("ckpt.versions = %d, want this log's own 2", got)
+	}
+	if got := rec.GaugeValue("ckpt.total_versions"); got != 4 || log.TotalVersions() != 4 {
+		t.Fatalf("ckpt.total_versions = %d, log has %d, want 4", got, log.TotalVersions())
 	}
 }

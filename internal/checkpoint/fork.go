@@ -21,17 +21,18 @@ import "arthas/internal/obs"
 // isolates the trial completely. The fork starts with the no-op sink.
 func (l *Log) Fork() *Log {
 	f := &Log{
-		MaxVersions:   l.MaxVersions,
-		entries:       make(map[entryKey]*Entry, len(l.entries)),
-		order:         append([]entryKey(nil), l.order...),
-		bySeq:         make(map[uint64]*Entry, len(l.bySeq)),
-		seq:           l.seq,
-		txSeq:         l.txSeq,
-		inTx:          l.inTx,
-		allocs:        make(map[uint64]*AllocRecord, len(l.allocs)),
-		allocOrder:    append([]uint64(nil), l.allocOrder...),
-		totalVersions: l.totalVersions,
-		sink:          obs.Nop(),
+		MaxVersions:    l.MaxVersions,
+		entries:        make(map[entryKey]*Entry, len(l.entries)),
+		order:          append([]entryKey(nil), l.order...),
+		bySeq:          make(map[uint64]*Entry, len(l.bySeq)),
+		seq:            l.seq,
+		txSeq:          l.txSeq,
+		inTx:           l.inTx,
+		allocs:         make(map[uint64]*AllocRecord, len(l.allocs)),
+		allocOrder:     append([]uint64(nil), l.allocOrder...),
+		totalVersions:  l.totalVersions,
+		versionedWords: l.versionedWords,
+		sink:           obs.Nop(),
 	}
 	// Copy entries with fresh Version slice headers: onPersist's drop-oldest
 	// shifts elements of the backing array in place, so sharing headers
@@ -76,6 +77,9 @@ func (l *Log) Fork() *Log {
 // *Log pointer, whose contents this rewrites). The fork must come from this
 // log's Fork() and must no longer be in use by any worker.
 func (l *Log) Adopt(f *Log) {
+	// The fork ran dark: what this log recorded itself is published, what
+	// the fork recorded is adopted as already accounted for.
+	l.FlushObs()
 	l.MaxVersions = f.MaxVersions
 	l.entries = f.entries
 	l.order = f.order
@@ -86,6 +90,8 @@ func (l *Log) Adopt(f *Log) {
 	l.allocs = f.allocs
 	l.allocOrder = f.allocOrder
 	l.totalVersions = f.totalVersions
+	l.versionedWords = f.versionedWords
+	l.markPublished()
 	if l.obsOn {
 		l.sink.SetGauge("ckpt.entries", int64(len(l.entries)))
 		l.sink.SetGauge("ckpt.total_versions", int64(l.totalVersions))

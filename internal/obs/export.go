@@ -60,56 +60,54 @@ func spanJSONLine(s SpanRecord, epoch time.Time) jsonLine {
 	return line
 }
 
-// metricsSnapshot captures every metric for export. Caller holds the lock.
-type metricsSnapshot struct {
-	counters, gauges, histNames []string
-	cvals, gvals                map[string]int64
-	hvals                       map[string]*Hist
+// histSample is one named histogram digest.
+type histSample struct {
+	name string
+	h    Hist
 }
 
+// metricsSnapshot is a copy of every metric for export: counters and gauges
+// in first-seen order (which groups each component's metrics together),
+// histograms by name.
+type metricsSnapshot struct {
+	counters, gauges []CounterSample
+	hists            []histSample
+}
+
+// metricsSnapshotLocked captures every metric. Caller holds the lock.
 func (r *Recorder) metricsSnapshotLocked() metricsSnapshot {
-	snap := metricsSnapshot{
-		counters: sortedNames(r.counters, r.order),
-		gauges:   sortedNames(r.gauges, r.order),
-		cvals:    map[string]int64{},
-		gvals:    map[string]int64{},
-		hvals:    map[string]*Hist{},
+	var snap metricsSnapshot
+	for _, m := range r.ordered {
+		if m.isCounter {
+			snap.counters = append(snap.counters, CounterSample{Name: m.name, Value: m.counter})
+		}
+		if m.isGauge {
+			snap.gauges = append(snap.gauges, CounterSample{Name: m.name, Value: m.gauge})
+		}
+		if m.hist != nil {
+			snap.hists = append(snap.hists, histSample{name: m.name, h: *m.hist})
+		}
 	}
-	for n := range r.hists {
-		snap.histNames = append(snap.histNames, n)
-	}
-	sort.Strings(snap.histNames)
-	for n, v := range r.counters {
-		snap.cvals[n] = v
-	}
-	for n, v := range r.gauges {
-		snap.gvals[n] = v
-	}
-	for n, h := range r.hists {
-		cp := *h
-		snap.hvals[n] = &cp
-	}
+	sort.Slice(snap.hists, func(i, j int) bool { return snap.hists[i].name < snap.hists[j].name })
 	return snap
 }
 
 // encodeMetrics writes the counter/gauge/hist lines of a snapshot.
 func encodeMetrics(enc *json.Encoder, snap metricsSnapshot) error {
-	for _, n := range snap.counters {
-		v := snap.cvals[n]
-		if err := enc.Encode(jsonLine{Type: "counter", Name: n, Value: &v}); err != nil {
+	for _, c := range snap.counters {
+		if err := enc.Encode(jsonLine{Type: "counter", Name: c.Name, Value: &c.Value}); err != nil {
 			return err
 		}
 	}
-	for _, n := range snap.gauges {
-		v := snap.gvals[n]
-		if err := enc.Encode(jsonLine{Type: "gauge", Name: n, Value: &v}); err != nil {
+	for _, g := range snap.gauges {
+		if err := enc.Encode(jsonLine{Type: "gauge", Name: g.Name, Value: &g.Value}); err != nil {
 			return err
 		}
 	}
-	for _, n := range snap.histNames {
-		h := snap.hvals[n]
+	for i := range snap.hists {
+		h := &snap.hists[i].h
 		if err := enc.Encode(jsonLine{
-			Type: "hist", Name: n,
+			Type: "hist", Name: snap.hists[i].name,
 			Count: h.Count, Sum: h.Sum, Min: h.Min, Max: h.Max, Mean: h.Mean(),
 			P50: h.Quantile(0.5), P99: h.Quantile(0.99),
 		}); err != nil {
@@ -215,42 +213,12 @@ func snapshotSpans(spans []*SpanRecord) []SpanRecord {
 	return out
 }
 
-// sortedNames orders metric names by first-registration order, which groups
-// each component's metrics together in the export.
-func sortedNames(m map[string]int64, order map[string]int) []string {
-	out := make([]string, 0, len(m))
-	for n := range m {
-		out = append(out, n)
-	}
-	sort.Slice(out, func(i, j int) bool { return order[out[i]] < order[out[j]] })
-	return out
-}
-
 // Summary renders the recorded telemetry as text: the span tree first
 // (indentation = nesting), then counters, gauges, and histogram digests.
 func (r *Recorder) Summary() string {
 	r.mu.Lock()
 	spans := snapshotSpans(r.spans)
-	counters := sortedNames(r.counters, r.order)
-	gauges := sortedNames(r.gauges, r.order)
-	var histNames []string
-	for n := range r.hists {
-		histNames = append(histNames, n)
-	}
-	sort.Strings(histNames)
-	cvals := map[string]int64{}
-	for n, v := range r.counters {
-		cvals[n] = v
-	}
-	gvals := map[string]int64{}
-	for n, v := range r.gauges {
-		gvals[n] = v
-	}
-	hvals := map[string]*Hist{}
-	for n, h := range r.hists {
-		cp := *h
-		hvals[n] = &cp
-	}
+	snap := r.metricsSnapshotLocked()
 	r.mu.Unlock()
 
 	var sb strings.Builder
@@ -278,24 +246,24 @@ func (r *Recorder) Summary() string {
 			sb.WriteString("\n")
 		}
 	}
-	if len(counters) > 0 {
+	if len(snap.counters) > 0 {
 		sb.WriteString("counters:\n")
-		for _, n := range counters {
-			fmt.Fprintf(&sb, "  %-32s %d\n", n, cvals[n])
+		for _, c := range snap.counters {
+			fmt.Fprintf(&sb, "  %-32s %d\n", c.Name, c.Value)
 		}
 	}
-	if len(gauges) > 0 {
+	if len(snap.gauges) > 0 {
 		sb.WriteString("gauges:\n")
-		for _, n := range gauges {
-			fmt.Fprintf(&sb, "  %-32s %d\n", n, gvals[n])
+		for _, g := range snap.gauges {
+			fmt.Fprintf(&sb, "  %-32s %d\n", g.Name, g.Value)
 		}
 	}
-	if len(histNames) > 0 {
+	if len(snap.hists) > 0 {
 		sb.WriteString("histograms:\n")
-		for _, n := range histNames {
-			h := hvals[n]
+		for i := range snap.hists {
+			h := &snap.hists[i].h
 			fmt.Fprintf(&sb, "  %-32s n=%d min=%.0f mean=%.1f p50=%.0f p99=%.0f max=%.0f\n",
-				n, h.Count, h.Min, h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max)
+				snap.hists[i].name, h.Count, h.Min, h.Mean(), h.Quantile(0.5), h.Quantile(0.99), h.Max)
 		}
 	}
 	return sb.String()

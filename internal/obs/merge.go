@@ -1,7 +1,5 @@
 package obs
 
-import "sort"
-
 // Merging per-worker telemetry.
 //
 // A Recorder's span stack assumes single-goroutine nesting, so concurrent
@@ -73,55 +71,26 @@ func (h *Hist) Merge(o *Hist) {
 // metric name prefixed (e.g. "shard0."). Fleet-wide /metrics merges the
 // per-shard Recorders this way: counters add, gauges overwrite (they are
 // point-in-time values of distinct shards, hence the prefix), and
-// histograms merge bin-wise. Metrics register in src's first-seen order so
-// repeated merges of identical inputs render identically. Spans are not
+// histograms merge bin-wise. Counters and gauges register in src's first-seen
+// order so repeated merges of identical inputs render identically. Spans are not
 // absorbed — use ReplayInto for those. A nil src (or r itself) is a no-op.
 func (r *Recorder) Absorb(src *Recorder, prefix string) {
 	if src == nil || src == r {
 		return
 	}
-	type histSample struct {
-		name string
-		h    Hist
-	}
 	src.mu.Lock()
-	names := make([]string, 0, len(src.order))
-	for n := range src.order {
-		names = append(names, n)
-	}
-	sort.Slice(names, func(i, j int) bool { return src.order[names[i]] < src.order[names[j]] })
-	var counters []CounterSample
-	var gauges []CounterSample
-	var hists []histSample
-	for _, n := range names {
-		if v, ok := src.counters[n]; ok {
-			counters = append(counters, CounterSample{Name: n, Value: v})
-		}
-		if v, ok := src.gauges[n]; ok {
-			gauges = append(gauges, CounterSample{Name: n, Value: v})
-		}
-		if h, ok := src.hists[n]; ok {
-			hists = append(hists, histSample{name: n, h: *h})
-		}
-	}
+	snap := src.metricsSnapshotLocked()
 	src.mu.Unlock()
 
-	for _, c := range counters {
+	for _, c := range snap.counters {
 		r.Count(prefix+c.Name, c.Value)
 	}
-	for _, g := range gauges {
+	for _, g := range snap.gauges {
 		r.SetGauge(prefix+g.Name, g.Value)
 	}
 	r.mu.Lock()
-	for i := range hists {
-		name := prefix + hists[i].name
-		r.noteOrder(name)
-		dst := r.hists[name]
-		if dst == nil {
-			dst = &Hist{}
-			r.hists[name] = dst
-		}
-		dst.Merge(&hists[i].h)
+	for i := range snap.hists {
+		r.histLocked(prefix + snap.hists[i].name).Merge(&snap.hists[i].h)
 	}
 	r.mu.Unlock()
 }
@@ -132,17 +101,16 @@ type CounterSample struct {
 	Value int64
 }
 
-// CountersInOrder returns the recorder's counters in first-seen order.
+// CountersInOrder returns the recorder's counters in first-seen order, so
+// replay is deterministic.
 func (r *Recorder) CountersInOrder() []CounterSample {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	out := make([]CounterSample, 0, len(r.counters))
-	for name := range r.counters {
-		out = append(out, CounterSample{Name: name, Value: r.counters[name]})
+	var out []CounterSample
+	for _, m := range r.ordered {
+		if m.isCounter {
+			out = append(out, CounterSample{Name: m.name, Value: m.counter})
+		}
 	}
-	// Sort by first-seen registration order so replay is deterministic.
-	sort.Slice(out, func(i, j int) bool {
-		return r.order[out[i].Name] < r.order[out[j].Name]
-	})
 	return out
 }

@@ -4,12 +4,17 @@
 //
 // Every instrumented component (pmem pool, checkpoint log, VM, tracer,
 // detector, reactor, baselines) holds a Sink. The default sink is a no-op
-// whose methods compile to nothing, and hot paths additionally guard their
-// instrumentation behind a cached "enabled" bool, so a system deployed
-// without observability pays no measurable cost (see the overhead
-// benchmarks). Installing a Recorder turns the same call sites into live
-// telemetry: a JSONL span/metric stream (WriteJSONL) and a human-readable
-// summary (Summary).
+// whose methods compile to nothing, and instrumentation is guarded by a
+// cached "enabled" bool, so a system deployed without observability pays no
+// measurable cost (see the overhead benchmarks). Installing a Recorder turns
+// the same call sites into live telemetry: a JSONL span/metric stream
+// (WriteJSONL) and a human-readable summary (Summary).
+//
+// The per-word and per-instruction paths never call the sink, enabled or
+// not: they bump plain fields, and each layer's FlushObs publishes the
+// difference as one Count per counter (CountDelta) when the machine finishes
+// a Call. Counters are therefore exact at request boundaries, not inside a
+// request (docs/OBSERVABILITY.md, "Publication granularity").
 //
 // Naming scheme (see docs/OBSERVABILITY.md for the full registry):
 //
@@ -52,7 +57,9 @@ type Sink interface {
 	// Observe adds one sample to a named histogram. The unit (wall-clock
 	// nanoseconds, logical steps, plain counts) is part of the name.
 	Observe(name string, v float64)
-	// Start opens a span as a child of the innermost active span.
+	// Start opens a span as a child of the innermost active span. The
+	// implementation must neither retain nor modify attrs: callers on hot
+	// paths pass a cached slice.
 	Start(name string, attrs ...Attr) Span
 }
 
@@ -83,6 +90,20 @@ func OrNop(s Sink) Sink {
 		return nop
 	}
 	return s
+}
+
+// CountDelta publishes cur-*last to the named counter (nothing when they are
+// equal), advances *last to cur, and reports whether the counter moved. It is
+// how a layer that tallies in plain fields on its hot path publishes a
+// counter at a flush boundary.
+func CountDelta(s Sink, name string, cur uint64, last *uint64) bool {
+	d := cur - *last
+	if d == 0 {
+		return false
+	}
+	*last = cur
+	s.Count(name, int64(d))
+	return true
 }
 
 // Enabled reports whether s records events (false for nil and the no-op).

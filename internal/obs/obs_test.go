@@ -283,3 +283,59 @@ func TestHistBuckets(t *testing.T) {
 		t.Fatalf("digest = %+v", h)
 	}
 }
+
+func TestCountDelta(t *testing.T) {
+	r := NewRecorder()
+	var last uint64
+	if CountDelta(r, "x", 0, &last) {
+		t.Fatal("no movement reported as movement")
+	}
+	if got := len(r.CountersInOrder()); got != 0 {
+		t.Fatalf("a zero delta registered %d counters", got)
+	}
+	if !CountDelta(r, "x", 7, &last) || last != 7 || r.CounterValue("x") != 7 {
+		t.Fatalf("after 0→7: last=%d counter=%d", last, r.CounterValue("x"))
+	}
+	if CountDelta(r, "x", 7, &last) || r.CounterValue("x") != 7 {
+		t.Fatal("republished an unchanged tally")
+	}
+	if !CountDelta(r, "x", 10, &last) || r.CounterValue("x") != 10 {
+		t.Fatalf("after 7→10: counter=%d", r.CounterValue("x"))
+	}
+}
+
+// A name may be counted, gauged and observed at once: the kinds stay
+// separate series in every export, in first-seen order per kind.
+func TestRecorderOneNameThreeKinds(t *testing.T) {
+	r := NewRecorder()
+	r.SetGauge("b", 1)
+	r.Count("a", 2)
+	r.Count("b", 3)
+	r.Observe("a", 4)
+	if r.CounterValue("b") != 3 || r.GaugeValue("b") != 1 || r.GaugeValue("a") != 0 {
+		t.Fatalf("kinds bled into each other: %s", r.Summary())
+	}
+	if h := r.Histogram("a"); h == nil || h.Count != 1 || r.Histogram("b") != nil {
+		t.Fatalf("histograms: a=%v b=%v", r.Histogram("a"), r.Histogram("b"))
+	}
+	cs := r.CountersInOrder()
+	if len(cs) != 2 || cs[0].Name != "b" || cs[1].Name != "a" {
+		t.Fatalf("counters not in first-seen order: %+v", cs)
+	}
+	var buf bytes.Buffer
+	if err := r.WriteJSONL(&buf); err != nil {
+		t.Fatal(err)
+	}
+	want := `{"type":"counter","name":"b","value":3}
+{"type":"counter","name":"a","value":2}
+{"type":"gauge","name":"b","value":1}
+`
+	if !strings.HasPrefix(buf.String(), want) {
+		t.Fatalf("JSONL:\n%s\nwant prefix:\n%s", buf.String(), want)
+	}
+	merged := NewRecorder()
+	merged.Absorb(r, "s.")
+	if merged.CounterValue("s.b") != 3 || merged.GaugeValue("s.b") != 1 || merged.Histogram("s.a").Count != 1 {
+		t.Fatalf("Absorb lost a kind: %s", merged.Summary())
+	}
+}

@@ -34,17 +34,17 @@ func (r *Recorder) WritePrometheus(w io.Writer) error {
 		}
 		f.lines = append(f.lines, lines...)
 	}
-	for _, n := range snap.counters {
-		pn := promName(n)
-		add(pn, "counter", fmt.Sprintf("%s %d", pn, snap.cvals[n]))
+	for _, c := range snap.counters {
+		pn := promName(c.Name)
+		add(pn, "counter", fmt.Sprintf("%s %d", pn, c.Value))
 	}
-	for _, n := range snap.gauges {
-		pn := promName(n)
-		add(pn, "gauge", fmt.Sprintf("%s %d", pn, snap.gvals[n]))
+	for _, g := range snap.gauges {
+		pn := promName(g.Name)
+		add(pn, "gauge", fmt.Sprintf("%s %d", pn, g.Value))
 	}
-	for _, n := range snap.histNames {
-		h := snap.hvals[n]
-		pn := promName(n)
+	for i := range snap.hists {
+		h := &snap.hists[i].h
+		pn := promName(snap.hists[i].name)
 		add(pn, "summary",
 			fmt.Sprintf("%s{quantile=\"0.5\"} %s", pn, promFloat(h.Quantile(0.5))),
 			fmt.Sprintf("%s{quantile=\"0.99\"} %s", pn, promFloat(h.Quantile(0.99))),

@@ -1,6 +1,7 @@
 package obs
 
 import (
+	"math"
 	"strings"
 	"testing"
 )
@@ -90,5 +91,48 @@ func TestSummaryShowsQuantiles(t *testing.T) {
 	s := r.Summary()
 	if !strings.Contains(s, "p50=") || !strings.Contains(s, "p99=") {
 		t.Fatalf("summary missing quantiles:\n%s", s)
+	}
+}
+
+// divisionBucket is the halving loop bucketIndex replaced; kept here as the
+// reference the table below compares against.
+func divisionBucket(v float64) int {
+	b := 0
+	for x := v; x >= 1 && b < len(Hist{}.Buckets)-1; x /= 2 {
+		b++
+	}
+	return b
+}
+
+func TestBucketIndexMatchesDivisionLoop(t *testing.T) {
+	type edge struct {
+		v    float64
+		want int
+	}
+	two := func(k int) float64 { return math.Ldexp(1, k) }
+	capped := func(b int) int { return min(b, len(Hist{}.Buckets)-1) }
+	cases := []edge{
+		{math.Inf(-1), 0}, {-5, 0}, {0, 0}, {0.5, 0}, {math.Nextafter(1, 0), 0}, {math.NaN(), 0},
+		{1, 1}, {1.5, 1}, {math.Nextafter(2, 0), 1}, {2, 2}, {3, 2}, {4, 3},
+		{two(62), 63}, {two(63), 63}, {two(64), 63}, {math.MaxFloat64, 63}, {math.Inf(1), 63},
+	}
+	// Every bucket edge: 2^k, the largest float below it, and 2^k − 1 where
+	// a float64 holds that exactly.
+	for k := 1; k <= 64; k++ {
+		cases = append(cases, edge{two(k), capped(k + 1)}, edge{math.Nextafter(two(k), 0), capped(k)})
+		if k <= 53 {
+			cases = append(cases, edge{two(k) - 1, capped(k)})
+		}
+	}
+	for _, c := range cases {
+		if got := bucketIndex(c.v); got != c.want || got != divisionBucket(c.v) {
+			t.Errorf("bucketIndex(%v) = %d, want %d (division loop: %d)", c.v, got, c.want, divisionBucket(c.v))
+		}
+	}
+	// And a sweep between the edges.
+	for v := 0.25; v < 1e20; v *= 1.37 {
+		if got, want := bucketIndex(v), divisionBucket(v); got != want {
+			t.Fatalf("bucketIndex(%v) = %d, division loop says %d", v, got, want)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package obs
 
 import (
 	"encoding/json"
+	"math/bits"
 	"sync"
 	"time"
 )
@@ -91,11 +92,20 @@ func (h *Hist) observe(v float64) {
 	}
 	h.Count++
 	h.Sum += v
-	b := 0
-	for x := v; x >= 1 && b < len(h.Buckets)-1; x /= 2 {
-		b++
+	h.Buckets[bucketIndex(v)]++
+}
+
+// bucketIndex returns the bucket holding v (see Hist): 0 for v < 1 (and
+// NaN), otherwise the bit length of v's integer part, capped at the last
+// bucket.
+func bucketIndex(v float64) int {
+	switch {
+	case !(v >= 1):
+		return 0
+	case v >= 1<<63:
+		return len(Hist{}.Buckets) - 1
 	}
-	h.Buckets[b]++
+	return bits.Len64(uint64(v))
 }
 
 // SpanRecord is one recorded span. ID 0 is never issued; Parent 0 means root.
@@ -117,16 +127,13 @@ type SpanRecord struct {
 // clock, and renders the result as JSONL (WriteJSONL) or text (Summary).
 // All methods are safe for concurrent use.
 type Recorder struct {
-	mu       sync.Mutex
-	clock    func() int64 // logical clock; nil = always 0
-	counters map[string]int64
-	gauges   map[string]int64
-	hists    map[string]*Hist
-	order    map[string]int // first-seen order per metric name
-	nextOrd  int
-	spans    []*SpanRecord // in start order
-	stack    []*SpanRecord // active spans, innermost last
-	nextID   uint64
+	mu      sync.Mutex
+	clock   func() int64 // logical clock; nil = always 0
+	metrics map[string]*metric
+	ordered []*metric     // first-seen order
+	spans   []*SpanRecord // in start order
+	stack   []*SpanRecord // active spans, innermost last
+	nextID  uint64
 
 	// Streaming mode (StreamTo): spans are written out as they end so a
 	// crash mid-run loses at most the still-open spans, not the whole trace.
@@ -136,15 +143,21 @@ type Recorder struct {
 	epochSet    bool
 }
 
+// metric is everything recorded under one name. The three kinds are
+// independent series (a name may be counted and gauged; the exports list
+// them separately), held together so that an event costs one map lookup.
+type metric struct {
+	name      string
+	counter   int64
+	gauge     int64
+	isCounter bool
+	isGauge   bool
+	hist      *Hist // nil until the first Observe
+}
+
 // NewRecorder returns an empty recorder.
 func NewRecorder() *Recorder {
-	return &Recorder{
-		counters: map[string]int64{},
-		gauges:   map[string]int64{},
-		hists:    map[string]*Hist{},
-		order:    map[string]int{},
-		nextID:   1,
-	}
+	return &Recorder{metrics: map[string]*metric{}, nextID: 1}
 }
 
 // SetClock installs the logical clock used to stamp span start/end steps
@@ -162,11 +175,16 @@ func (r *Recorder) now() int64 {
 	return r.clock()
 }
 
-func (r *Recorder) noteOrder(name string) {
-	if _, ok := r.order[name]; !ok {
-		r.order[name] = r.nextOrd
-		r.nextOrd++
+// metricLocked returns name's metric, registering it on first sight.
+// Caller holds the lock.
+func (r *Recorder) metricLocked(name string) *metric {
+	m := r.metrics[name]
+	if m == nil {
+		m = &metric{name: name}
+		r.metrics[name] = m
+		r.ordered = append(r.ordered, m)
 	}
+	return m
 }
 
 // Enabled reports true: a Recorder always records.
@@ -175,30 +193,36 @@ func (r *Recorder) Enabled() bool { return true }
 // Count implements Sink.
 func (r *Recorder) Count(name string, delta int64) {
 	r.mu.Lock()
-	r.noteOrder(name)
-	r.counters[name] += delta
+	m := r.metricLocked(name)
+	m.counter += delta
+	m.isCounter = true
 	r.mu.Unlock()
 }
 
 // SetGauge implements Sink.
 func (r *Recorder) SetGauge(name string, v int64) {
 	r.mu.Lock()
-	r.noteOrder(name)
-	r.gauges[name] = v
+	m := r.metricLocked(name)
+	m.gauge = v
+	m.isGauge = true
 	r.mu.Unlock()
 }
 
 // Observe implements Sink.
 func (r *Recorder) Observe(name string, v float64) {
 	r.mu.Lock()
-	r.noteOrder(name)
-	h := r.hists[name]
-	if h == nil {
-		h = &Hist{}
-		r.hists[name] = h
-	}
-	h.observe(v)
+	r.histLocked(name).observe(v)
 	r.mu.Unlock()
+}
+
+// histLocked returns name's histogram, creating it on first use. Caller
+// holds the lock.
+func (r *Recorder) histLocked(name string) *Hist {
+	m := r.metricLocked(name)
+	if m.hist == nil {
+		m.hist = &Hist{}
+	}
+	return m.hist
 }
 
 // span is the live handle behind Recorder.Start.
@@ -256,37 +280,40 @@ func (r *Recorder) Start(name string, attrs ...Attr) Span {
 func (r *Recorder) CounterValue(name string) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.counters[name]
+	if m := r.metrics[name]; m != nil {
+		return m.counter
+	}
+	return 0
 }
 
 // GaugeValue returns a gauge's current value (0 when absent).
 func (r *Recorder) GaugeValue(name string) int64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.gauges[name]
+	if m := r.metrics[name]; m != nil {
+		return m.gauge
+	}
+	return 0
 }
 
 // Quantile estimates the q-quantile of a named histogram (0 when absent).
 // See Hist.Quantile for the estimation error bound.
 func (r *Recorder) Quantile(name string, q float64) float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
-		return 0
+	if h := r.Histogram(name); h != nil {
+		return h.Quantile(q)
 	}
-	return h.Quantile(q)
+	return 0
 }
 
 // Histogram returns a copy of a named histogram (nil when absent).
 func (r *Recorder) Histogram(name string) *Hist {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	h := r.hists[name]
-	if h == nil {
+	m := r.metrics[name]
+	if m == nil || m.hist == nil {
 		return nil
 	}
-	cp := *h
+	cp := *m.hist
 	return &cp
 }
 
@@ -332,11 +359,8 @@ func (r *Recorder) SpanCount(name string) int {
 func (r *Recorder) Reset() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	r.counters = map[string]int64{}
-	r.gauges = map[string]int64{}
-	r.hists = map[string]*Hist{}
-	r.order = map[string]int{}
-	r.nextOrd = 0
+	r.metrics = map[string]*metric{}
+	r.ordered = nil
 	r.spans = nil
 	r.stack = nil
 	r.nextID = 1

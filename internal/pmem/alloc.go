@@ -38,11 +38,7 @@ func (p *Pool) Alloc(words int) (uint64, error) {
 	}
 	addr := Base + uint64(idx)
 	p.stats.Allocs++
-	if p.obsOn {
-		p.sink.Count("pmem.alloc", 1)
-		p.sink.Count("pmem.alloc_words", int64(words))
-		p.sink.SetGauge("pmem.live_words", int64(p.LiveWords()))
-	}
+	p.stats.allocWords += uint64(words)
 	if p.hooks.OnAlloc != nil {
 		p.hooks.OnAlloc(addr, words)
 	}
@@ -194,11 +190,7 @@ func (p *Pool) Free(addr uint64) error {
 		return ErrCrashInjected
 	}
 	p.stats.Frees++
-	if p.obsOn {
-		p.sink.Count("pmem.free", 1)
-		p.sink.Count("pmem.freed_words", int64(size))
-		p.sink.SetGauge("pmem.live_words", int64(p.LiveWords()))
-	}
+	p.stats.freedWords += uint64(size)
 	if p.hooks.OnFree != nil {
 		p.hooks.OnFree(addr, size)
 	}

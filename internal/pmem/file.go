@@ -117,6 +117,7 @@ func (p *Pool) WriteTo(w io.Writer) (int64, error) {
 	// Flight-recorder section.
 	var fb []byte
 	if p.flight != nil {
+		p.FlushObs() // the embedded tail covers everything up to the save
 		if fb, err = p.flight.MarshalBinary(); err != nil {
 			return written, fmt.Errorf("pmem: encoding flight recorder: %w", err)
 		}

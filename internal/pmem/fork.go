@@ -107,7 +107,11 @@ func (p *Pool) Promote() error {
 	for a := range p.dirty {
 		b.dirty[a] = struct{}{}
 	}
+	// The fork ran dark: what the base did itself is published, what the
+	// fork did is adopted as already accounted for.
+	b.FlushObs()
 	b.stats = p.stats
+	b.published = b.stats
 	if b.obsOn {
 		b.sink.Count("pmem.promote", 1)
 		b.sink.Count("pmem.promoted_words", int64(len(p.curOv)))

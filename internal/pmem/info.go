@@ -31,7 +31,7 @@ func (p *Pool) Info() PoolInfo {
 		FormatVersion: p.fileVersion,
 		Words:         p.words,
 		DirtyWords:    len(p.dirty),
-		Stats:         p.stats,
+		Stats:         p.stats.Stats,
 	}
 	durable := p.durImage()
 	heapNext := int(durable[hdrHeapNext])

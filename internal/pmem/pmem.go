@@ -122,8 +122,10 @@ type Pool struct {
 
 	hooks Hooks
 
-	// statistics
-	stats Stats
+	// statistics: stats is the lifetime tally the hot paths bump;
+	// published is the part of it the sink has been told (see FlushObs).
+	stats     tally
+	published tally
 
 	// flight, when attached, is serialized into the pool image by WriteTo
 	// and recovered by ReadPool: the telemetry tail survives crashes the
@@ -135,8 +137,8 @@ type Pool struct {
 	// (fileVersion for pools created by New).
 	fileVersion int
 
-	// sink receives durability telemetry; obsOn caches sink.Enabled() so
-	// the hot load/store paths pay one predictable branch when disabled.
+	// sink receives durability telemetry; obsOn caches sink.Enabled(). The
+	// per-word paths never call it: FlushObs publishes their tallies.
 	sink  obs.Sink
 	obsOn bool
 
@@ -187,6 +189,13 @@ type Stats struct {
 // PersistedWords tallies how many words were made durable.
 type PersistedWords struct{ Words uint64 }
 
+// tally is the activity FlushObs publishes as counters: Stats plus the two
+// word counts that Stats (a pool-file section) does not carry.
+type tally struct {
+	Stats
+	allocWords, freedWords uint64
+}
+
 // New creates a pool with the given number of heap-addressable words
 // (minimum 64) and formats its persistent header.
 func New(words int) *Pool {
@@ -214,10 +223,44 @@ func New(words int) *Pool {
 // SetHooks installs durability hooks, replacing any previous ones.
 func (p *Pool) SetHooks(h Hooks) { p.hooks = h }
 
-// SetSink installs an observability sink (nil restores the no-op).
+// SetSink installs an observability sink (nil restores the no-op). The
+// outgoing sink is flushed first; the incoming one hears only what happens
+// from here on.
 func (p *Pool) SetSink(s obs.Sink) {
+	p.FlushObs()
 	p.sink = obs.OrNop(s)
 	p.obsOn = p.sink.Enabled()
+	p.published = p.stats
+}
+
+// FlushObs publishes the activity since the last flush: one Count per
+// counter that moved, then the dirty/live gauges sampled from current state
+// when something that moves them happened. Load, Store, Persist, Alloc and
+// Free only bump the tally, so counters are exact and gauges current at
+// every flush and telemetry costs nothing per word. The machine flushes at
+// the end of every Call (vm.Machine.ObsFlush); Crash, Promote, SetSink and
+// WriteTo flush before their own events so those stay ordered after the
+// activity that preceded them. A native program driving the pool without a
+// machine calls it wherever it wants its counters current.
+func (p *Pool) FlushObs() {
+	if !p.obsOn {
+		return
+	}
+	cur, pub := &p.stats, &p.published
+	obs.CountDelta(p.sink, "pmem.load", cur.Loads, &pub.Loads)
+	stored := obs.CountDelta(p.sink, "pmem.store", cur.Stores, &pub.Stores)
+	persisted := obs.CountDelta(p.sink, "pmem.persist", cur.Persists, &pub.Persists)
+	obs.CountDelta(p.sink, "pmem.persisted_words", cur.Words, &pub.Words)
+	if stored || persisted {
+		p.sink.SetGauge("pmem.dirty_words", int64(len(p.dirty)))
+	}
+	alloced := obs.CountDelta(p.sink, "pmem.alloc", cur.Allocs, &pub.Allocs)
+	obs.CountDelta(p.sink, "pmem.alloc_words", cur.allocWords, &pub.allocWords)
+	freed := obs.CountDelta(p.sink, "pmem.free", cur.Frees, &pub.Frees)
+	obs.CountDelta(p.sink, "pmem.freed_words", cur.freedWords, &pub.freedWords)
+	if alloced || freed {
+		p.sink.SetGauge("pmem.live_words", int64(p.LiveWords()))
+	}
 }
 
 // HooksInstalled reports whether any persist hook is present.
@@ -240,7 +283,7 @@ func (p *Pool) FormatVersion() int { return p.fileVersion }
 func (p *Pool) Words() int { return p.words }
 
 // Stats returns a copy of the activity counters.
-func (p *Pool) Stats() Stats { return p.stats }
+func (p *Pool) Stats() Stats { return p.stats.Stats }
 
 // Contains reports whether addr names a word inside the pool.
 func (p *Pool) Contains(addr uint64) bool {
@@ -266,9 +309,6 @@ func (p *Pool) Load(addr uint64) (uint64, error) {
 		return 0, err
 	}
 	p.stats.Loads++
-	if p.obsOn {
-		p.sink.Count("pmem.load", 1)
-	}
 	return p.curAt(i), nil
 }
 
@@ -282,10 +322,6 @@ func (p *Pool) Store(addr uint64, val uint64) error {
 	p.stats.Stores++
 	p.setCurAt(i, val)
 	p.dirty[addr] = struct{}{}
-	if p.obsOn {
-		p.sink.Count("pmem.store", 1)
-		p.sink.SetGauge("pmem.dirty_words", int64(len(p.dirty)))
-	}
 	return nil
 }
 
@@ -363,11 +399,6 @@ func (p *Pool) makeDurable(addr uint64, words int, kind DurKind) error {
 	for w := 0; w < words; w++ {
 		delete(p.dirty, addr+uint64(w))
 	}
-	if p.obsOn {
-		p.sink.Count("pmem.persist", 1)
-		p.sink.Count("pmem.persisted_words", int64(words))
-		p.sink.SetGauge("pmem.dirty_words", int64(len(p.dirty)))
-	}
 	if p.crashLatched {
 		return ErrCrashInjected
 	}
@@ -400,6 +431,7 @@ func (p *Pool) DirtyWords() int { return len(p.dirty) }
 func (p *Pool) Crash() {
 	p.stats.Crashes++
 	if p.obsOn {
+		p.FlushObs()
 		p.sink.Count("pmem.crash", 1)
 		p.sink.Count("pmem.crash_lost_words", int64(len(p.dirty)))
 		p.sink.SetGauge("pmem.dirty_words", 0)

@@ -135,8 +135,11 @@ type Index struct {
 
 	clock func() int64
 
-	sink  obs.Sink
-	obsOn bool
+	// sink receives prov.lineage_records, which is next less published (the
+	// part the sink has been told); notePersist never calls it, FlushObs does.
+	sink      obs.Sink
+	obsOn     bool
+	published uint64
 }
 
 // New creates an empty lineage index.
@@ -156,10 +159,22 @@ func New() *Index {
 // Re-wire after every reboot: the machine is replaced on restart.
 func (x *Index) SetClock(fn func() int64) { x.clock = fn }
 
-// SetSink installs an observability sink (nil restores the no-op).
+// SetSink installs an observability sink (nil restores the no-op). The
+// outgoing sink is flushed first; the incoming one hears only what happens
+// from here on.
 func (x *Index) SetSink(s obs.Sink) {
+	x.FlushObs()
 	x.sink = obs.OrNop(s)
 	x.obsOn = x.sink.Enabled()
+	x.published = x.next
+}
+
+// FlushObs publishes the lineage records appended since the last flush. The
+// machine calls it at the end of every Call (vm.Machine.ObsFlush).
+func (x *Index) FlushObs() {
+	if x.obsOn {
+		obs.CountDelta(x.sink, "prov.lineage_records", x.next, &x.published)
+	}
 }
 
 func (x *Index) now() int64 {
@@ -236,9 +251,6 @@ func (x *Index) notePersist(addr uint64, words int, log *checkpoint.Log) {
 			Persists: n,
 		}
 		x.byAddr[a] = id
-	}
-	if x.obsOn {
-		x.sink.Count("prov.lineage_records", int64(words))
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 
 	"arthas/internal/checkpoint"
 	"arthas/internal/obs"
+	"arthas/internal/obs/obstest"
 	"arthas/internal/pmem"
 )
 
@@ -178,5 +179,34 @@ func TestAllocAttributionAndPublish(t *testing.T) {
 	x.Publish(rec2)
 	if rec2.GaugeValue("prov.persisted_words") == 0 {
 		t.Fatal("Publish exported no persisted-word gauge")
+	}
+}
+
+// Lineage notes only append to the ring; FlushObs publishes how many.
+func TestFlushObsPublishesLineageRecords(t *testing.T) {
+	p, _, x, buf := newPersisted(t, 0)
+	p.Store(buf, 1)
+	p.Persist(buf, 1) // before any sink: nobody hears it
+	rec := obs.NewRecorder()
+	calls := &obstest.CallCounter{Inner: rec}
+	x.SetSink(calls)
+	for i := uint64(0); i < 4; i++ {
+		x.NoteWrite(7, buf+i)
+		p.Store(buf+i, i)
+		p.Persist(buf+i, 3)
+	}
+	if n := calls.Calls(); n != 0 {
+		t.Fatalf("4 noted persists made %d sink calls", n)
+	}
+	x.FlushObs()
+	if got := rec.CounterValue("prov.lineage_records"); got != 12 {
+		t.Fatalf("prov.lineage_records = %d, want 12", got)
+	}
+	if st := x.Stats(); st.PersistedWords != 13 {
+		t.Fatalf("index counted %d persisted words, want 13", st.PersistedWords)
+	}
+	x.FlushObs()
+	if calls.Calls() != 1 {
+		t.Fatalf("idle flush made sink calls (%d in all)", calls.Calls())
 	}
 }

@@ -132,6 +132,7 @@ func MustDeploy(sys *System, opts DeployOpts) *Deployment {
 func (d *Deployment) boot() {
 	d.M = vm.New(d.Mod, d.Pool, vm.Config{StepLimit: d.opts.StepLimit})
 	d.M.SetSink(d.opts.Obs)
+	d.M.ObsFlush = d.flushObs
 	if d.Tr != nil {
 		d.M.TraceSink = d.Tr.Record
 		d.M.TraceReadSink = d.Tr.RecordRead
@@ -139,6 +140,22 @@ func (d *Deployment) boot() {
 	if d.Prov != nil {
 		d.M.WriteSink = d.Prov.NoteWrite
 		d.Prov.SetClock(d.M.Steps)
+	}
+}
+
+// flushObs publishes the tallies the attached layers keep per word (see
+// pmem.Pool.FlushObs): the machine runs it at the end of every Call, Restart
+// before the crash.
+func (d *Deployment) flushObs() {
+	d.Pool.FlushObs()
+	if d.Log != nil {
+		d.Log.FlushObs()
+	}
+	if d.Prov != nil {
+		d.Prov.FlushObs()
+	}
+	if d.Tr != nil {
+		d.Tr.FlushObs()
 	}
 }
 
@@ -169,6 +186,7 @@ func (d *Deployment) Call(fn string, args ...int64) (int64, *vm.Trap) {
 // Restart simulates process kill + restart: the pool crashes (unpersisted
 // stores lost), a fresh machine boots, and the recovery function runs.
 func (d *Deployment) Restart() *vm.Trap {
+	d.flushObs()
 	d.Pool.Crash()
 	d.boot()
 	d.restarts++

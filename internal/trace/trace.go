@@ -53,10 +53,12 @@ type Trace struct {
 	// failing execution touches the bad state last).
 	lastTouch map[int]map[uint64]uint64
 
-	// sink receives tracing telemetry; obsOn caches sink.Enabled() so the
-	// per-event hot path pays one predictable branch when disabled.
-	sink  obs.Sink
-	obsOn bool
+	// sink receives tracing telemetry; obsOn caches sink.Enabled(). Record
+	// and RecordRead never call it: FlushObs publishes what tally() counts,
+	// less what published says the sink has already been told.
+	sink      obs.Sink
+	obsOn     bool
+	published tally
 
 	// qmu serializes the query side (ensureIndex lazily mutates the index
 	// maps): parallel speculative-mitigation workers query one shared
@@ -81,10 +83,40 @@ func New() *Trace {
 	}
 }
 
-// SetSink installs an observability sink (nil restores the no-op).
+// SetSink installs an observability sink (nil restores the no-op). The
+// outgoing sink is flushed first; the incoming one hears only what happens
+// from here on.
 func (t *Trace) SetSink(s obs.Sink) {
+	t.FlushObs()
 	t.sink = obs.OrNop(s)
 	t.obsOn = t.sink.Enabled()
+	t.published = t.tally()
+}
+
+// tally is the trace's lifetime activity, read off the state the hot paths
+// maintain anyway.
+type tally struct{ events, reads, flushes, flushed uint64 }
+
+func (t *Trace) tally() tally {
+	return tally{uint64(t.Len()), uint64(t.Reads()), uint64(t.flushes), uint64(len(t.flushed))}
+}
+
+// FlushObs publishes the activity since the last flush — one Count per
+// counter that moved — and samples trace.buffered when the buffer changed.
+// The machine calls it at the end of every Call (vm.Machine.ObsFlush), so
+// counters are exact at request boundaries at no cost per event.
+func (t *Trace) FlushObs() {
+	if !t.obsOn {
+		return
+	}
+	cur, pub := t.tally(), &t.published
+	recorded := obs.CountDelta(t.sink, "trace.events", cur.events, &pub.events)
+	obs.CountDelta(t.sink, "trace.read_events", cur.reads, &pub.reads)
+	drained := obs.CountDelta(t.sink, "trace.flushes", cur.flushes, &pub.flushes)
+	obs.CountDelta(t.sink, "trace.flushed_events", cur.flushed, &pub.flushed)
+	if recorded || drained {
+		t.sink.SetGauge("trace.buffered", int64(len(t.buf)))
+	}
 }
 
 // Record appends one event; it is the VM's TraceSink for PM writes
@@ -94,10 +126,6 @@ func (t *Trace) SetSink(s obs.Sink) {
 func (t *Trace) Record(guid int, addr uint64) {
 	t.buf = append(t.buf, Event{GUID: guid, Addr: addr, Idx: t.next})
 	t.next++
-	if t.obsOn {
-		t.sink.Count("trace.events", 1)
-		t.sink.SetGauge("trace.buffered", int64(len(t.buf)))
-	}
 	if len(t.buf) >= t.BufSize {
 		t.Flush()
 	}
@@ -111,9 +139,6 @@ func (t *Trace) RecordRead(guid int, addr uint64) {
 	t.ring[t.ringNext&(ringSize-1)] = Event{GUID: guid, Addr: addr, Idx: t.next}
 	t.ringNext++
 	t.next++
-	if t.obsOn {
-		t.sink.Count("trace.read_events", 1)
-	}
 }
 
 // Flush drains the buffer into the persistent side of the trace. Called
@@ -124,11 +149,6 @@ func (t *Trace) Flush() {
 		return
 	}
 	t.flushes++
-	if t.obsOn {
-		t.sink.Count("trace.flushes", 1)
-		t.sink.Count("trace.flushed_events", int64(len(t.buf)))
-		t.sink.SetGauge("trace.buffered", 0)
-	}
 	t.flushed = append(t.flushed, t.buf...)
 	t.buf = t.buf[:0]
 }
@@ -182,6 +202,10 @@ func (t *Trace) Events() []Event {
 
 // Len returns the number of recorded events.
 func (t *Trace) Len() int { return len(t.flushed) + len(t.buf) }
+
+// Reads returns the number of read events ever recorded (the ring retains
+// only the most recent ringSize of them).
+func (t *Trace) Reads() int { return t.ringNext }
 
 // Flushes returns how many buffer flushes occurred (overhead diagnostics).
 func (t *Trace) Flushes() int { return t.flushes }

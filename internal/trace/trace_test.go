@@ -3,6 +3,9 @@ package trace
 import (
 	"testing"
 	"testing/quick"
+
+	"arthas/internal/obs"
+	"arthas/internal/obs/obstest"
 )
 
 func TestRecordAndQuery(t *testing.T) {
@@ -103,5 +106,49 @@ func TestPropIndexesComplete(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Record and RecordRead only tally; FlushObs publishes exact counts and the
+// current buffer fill, and a sink hears only what happened on its watch.
+func TestFlushObsPublishesTallies(t *testing.T) {
+	rec := obs.NewRecorder()
+	calls := &obstest.CallCounter{Inner: rec}
+	tr := New()
+	tr.BufSize = 8
+	tr.Record(9, 900) // before any sink: nobody hears it
+	tr.SetSink(calls)
+	for i := 0; i < 20; i++ {
+		tr.Record(1, uint64(100+i))
+		tr.RecordRead(2, uint64(200+i))
+	}
+	if n := calls.Calls(); n != 0 {
+		t.Fatalf("Record/RecordRead made %d sink calls", n)
+	}
+	tr.FlushObs()
+	for name, want := range map[string]int{
+		"trace.events": 20, "trace.read_events": 20,
+		"trace.flushes": tr.Flushes(), "trace.flushed_events": 16,
+	} {
+		if got := rec.CounterValue(name); got != int64(want) {
+			t.Errorf("%s = %d, want %d", name, got, want)
+		}
+	}
+	if tr.Len() != 21 || tr.Reads() != 20 || tr.Flushes() != 2 {
+		t.Fatalf("Len=%d Reads=%d Flushes=%d", tr.Len(), tr.Reads(), tr.Flushes())
+	}
+	if got := rec.GaugeValue("trace.buffered"); got != 5 {
+		t.Errorf("trace.buffered = %d, want 5", got)
+	}
+	before := calls.Calls()
+	tr.FlushObs()
+	if calls.Calls() != before {
+		t.Fatal("idle flush made sink calls")
+	}
+	tr.Events() // a query drains the buffer
+	tr.FlushObs()
+	if rec.CounterValue("trace.flushed_events") != 21 || rec.GaugeValue("trace.buffered") != 0 {
+		t.Errorf("after drain: flushed_events=%d buffered=%d",
+			rec.CounterValue("trace.flushed_events"), rec.GaugeValue("trace.buffered"))
 	}
 }

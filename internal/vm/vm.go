@@ -161,7 +161,33 @@ type Machine struct {
 	// never adds a sink call per instruction.
 	sink     obs.Sink
 	obsOn    bool
-	opCounts [int(ir.OpRecoverEnd) + 1]int64
+	opCounts [numOps]int64
+	// ObsFlush, when set, runs at the head of that flush (so only with a
+	// sink enabled): the deployment points it at the FlushObs of the layers
+	// under the machine — pool, checkpoint log, trace, provenance — which
+	// tally per word in plain fields and publish here, once per request.
+	ObsFlush func()
+	// callAttrs caches each function's vm.call span attribute, so a call
+	// boxes no name string and builds no variadic slice.
+	callAttrs map[*ir.Function][]obs.Attr
+}
+
+const numOps = int(ir.OpRecoverEnd) + 1
+
+// opCounterNames and trapCounterNames are the vm.op.* / vm.trap.* counter
+// names, built once: the flush runs per request.
+var (
+	opCounterNames   [numOps]string
+	trapCounterNames [len(trapNames)]string
+)
+
+func init() {
+	for op := range opCounterNames {
+		opCounterNames[op] = "vm.op." + ir.Op(op).String()
+	}
+	for k := range trapCounterNames {
+		trapCounterNames[k] = "vm.trap." + TrapKind(k).String()
+	}
 }
 
 // New builds a machine. Globals are initialized from the module — fresh
@@ -192,21 +218,25 @@ func (m *Machine) SetSink(s obs.Sink) {
 	m.obsOn = m.sink.Enabled()
 }
 
-// flushObs publishes the instruction counts accumulated since the last
-// flush: total retired, yields, and one vm.op.<name> counter per opcode
-// actually executed. A trap (if any) is classified by kind.
+// flushObs publishes what accumulated since the last flush: the layers'
+// tallies (ObsFlush), then the instruction counts — total retired and one
+// vm.op.<name> counter per opcode actually executed. A trap (if any) is
+// classified by kind.
 func (m *Machine) flushObs(retired int64, trap *Trap) {
+	if m.ObsFlush != nil {
+		m.ObsFlush()
+	}
 	m.sink.Count("vm.instructions", retired)
 	for op, n := range m.opCounts {
 		if n == 0 {
 			continue
 		}
-		m.sink.Count("vm.op."+ir.Op(op).String(), n)
+		m.sink.Count(opCounterNames[op], n)
 		m.opCounts[op] = 0
 	}
 	if trap != nil {
 		m.sink.Count("vm.traps", 1)
-		m.sink.Count("vm.trap."+trap.Kind.String(), 1)
+		m.sink.Count(trapCounterNames[trap.Kind], 1)
 	}
 }
 
@@ -234,6 +264,22 @@ func (m *Machine) SetGlobal(name string, v int64) bool {
 // earlier keep their state and are co-scheduled.
 func (m *Machine) Call(fnName string, args ...int64) (int64, *Trap) {
 	f := m.Mod.Func(fnName)
+	if !m.obsOn {
+		return m.call(f, fnName, args)
+	}
+	span := m.sink.Start("vm.call", m.callAttr(f, fnName)...)
+	before := m.steps
+	v, trap := m.call(f, fnName, args)
+	m.flushObs(m.steps-before, trap)
+	if trap != nil {
+		span.SetAttr("trap", trap.Kind.String())
+	}
+	span.End()
+	return v, trap
+}
+
+// call is Call without the telemetry; f is nil when fnName names no function.
+func (m *Machine) call(f *ir.Function, fnName string, args []int64) (int64, *Trap) {
 	if f == nil {
 		return 0, &Trap{Kind: TrapInternal, Msg: fmt.Sprintf("no function %q", fnName), Step: m.steps}
 	}
@@ -241,22 +287,26 @@ func (m *Machine) Call(fnName string, args ...int64) (int64, *Trap) {
 		return 0, &Trap{Kind: TrapInternal,
 			Msg: fmt.Sprintf("%s takes %d args, got %d", fnName, f.NumParams, len(args)), Step: m.steps}
 	}
-	main := m.newThread(f, args)
-	if !m.obsOn {
-		v, trap := m.run(main)
-		m.dropUnfenced()
-		return v, trap
-	}
-	span := m.sink.Start("vm.call", obs.A("fn", fnName))
-	before := m.steps
-	v, trap := m.run(main)
+	v, trap := m.run(m.newThread(f, args))
 	m.dropUnfenced()
-	m.flushObs(m.steps-before, trap)
-	if trap != nil {
-		span.SetAttr("trap", trap.Kind.String())
-	}
-	span.End()
 	return v, trap
+}
+
+// callAttr returns the vm.call span's fn attribute, cached per function.
+// Unknown names are not cached: callers choose them.
+func (m *Machine) callAttr(f *ir.Function, fnName string) []obs.Attr {
+	if f == nil {
+		return []obs.Attr{obs.A("fn", fnName)}
+	}
+	attrs := m.callAttrs[f]
+	if attrs == nil {
+		attrs = []obs.Attr{obs.A("fn", fnName)}
+		if m.callAttrs == nil {
+			m.callAttrs = map[*ir.Function][]obs.Attr{}
+		}
+		m.callAttrs[f] = attrs
+	}
+	return attrs
 }
 
 // dropUnfenced empties the write-pending queue once no thread is left that
