@@ -1,4 +1,4 @@
-package arthas
+package arthas_test
 
 // Ablation benchmarks for the design choices documented in DESIGN.md §4.6.
 // Each benchmark runs a fault case with one mechanism toggled and reports

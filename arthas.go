@@ -42,6 +42,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"strings"
 	"sync/atomic"
 	"time"
 
@@ -120,6 +121,32 @@ const (
 	EventScrubEnd   LifecycleEvent = "scrub-end"
 )
 
+// Layers is a set of toolchain layers (paper Figure 4).
+type Layers uint8
+
+// The layers Config.Detach can leave out.
+const (
+	// LayerAnalysis is the static analyzer: PM-variable identification, GUID
+	// instrumentation of the module, and the program dependence graph.
+	LayerAnalysis Layers = 1 << iota
+	// LayerCheckpoint is the checkpoint log on the pool's persistence hooks.
+	LayerCheckpoint
+	// LayerTrace is the PM address trace the instrumented program feeds.
+	LayerTrace
+	// AllLayers detached leaves the vanilla system: compiled and run, nothing else.
+	AllLayers = LayerAnalysis | LayerCheckpoint | LayerTrace
+)
+
+func (l Layers) String() string {
+	var names []string
+	for bit, name := range []string{"analysis", "checkpoint", "trace"} {
+		if l&(1<<bit) != 0 {
+			names = append(names, name)
+		}
+	}
+	return strings.Join(names, "+")
+}
+
 // Config tunes an Instance.
 type Config struct {
 	// PoolWords sizes the simulated PM pool (default 1<<16 words).
@@ -185,14 +212,28 @@ type Config struct {
 	// and committed only when the stored seal proves it is the original
 	// contents (docs/REPLICATION.md).
 	ScrubSource scrub.BlockSource
+	// Detach names toolchain layers to leave unattached: the paper's
+	// overhead split (Figure 12 / Table 8: vanilla, checkpoint-only,
+	// instrumentation-only) and the pmCRIU / ArCkpt baselines run the same
+	// systems under part of the toolchain. The zero value is the full
+	// toolchain. A detached layer costs a request nothing: Log and Trace are
+	// still allocated, but no pool hook or machine sink feeds them; without
+	// LayerAnalysis the module carries no GUIDs and Analysis is nil.
+	// Operations that need a detached layer (mitigation, SaveImage) return
+	// an error naming it.
+	Detach Layers
 }
 
-// Instance is a PML system deployed under the full Arthas toolchain:
-// compiled, analyzed, instrumented, checkpointed, traced, and monitored.
+// Instance is a PML system deployed under the Arthas toolchain: compiled,
+// analyzed, instrumented, checkpointed, traced, and monitored (all of it
+// unless Config.Detach leaves layers out). It is the one place the toolchain
+// is assembled: the fleet, the torture sweeps, the fault cases, the overhead
+// experiments and every command run on it.
 type Instance struct {
 	Name string
 	// Exposed components for advanced use and experiments.
-	Module   *ir.Module
+	Module *ir.Module
+	// Analysis is nil when LayerAnalysis is detached.
 	Analysis *analysis.Result
 	Pool     *pmem.Pool
 	Log      *checkpoint.Log
@@ -222,7 +263,7 @@ type Instance struct {
 // with trace GUIDs), creates a pool with the checkpoint log attached, and
 // boots the VM.
 func New(name, source string, cfg Config) (*Instance, error) {
-	return build(name, source, cfg, nil)
+	return build(name, source, cfg, restored{})
 }
 
 // Open is New against an existing pool file (the pmem_map_file analogue):
@@ -237,24 +278,19 @@ func New(name, source string, cfg Config) (*Instance, error) {
 // failing. Inspect Instance.LastScrub for what happened; use OpenImage for
 // log-assisted repair.
 func Open(name, source string, cfg Config, poolFile io.Reader) (*Instance, error) {
-	pool, err := pmem.ReadPool(poolFile)
-	if err != nil {
+	from := restored{}
+	var err error
+	if from.pool, err = pmem.ReadPool(poolFile); err != nil {
 		var merr *pmem.MediaError
-		if !errors.As(err, &merr) || pool == nil {
+		if !errors.As(err, &merr) || from.pool == nil {
 			return nil, fmt.Errorf("arthas: %w", err)
 		}
-		rep := scrub.Repair(pool, nil, obs.OrNop(cfg.Observer))
-		if !rep.Healthy() {
-			return nil, fmt.Errorf("arthas: pool unscrubbable (%s): %w", rep, err)
+		from.scrub = scrub.Repair(from.pool, nil, obs.OrNop(cfg.Observer))
+		if !from.scrub.Healthy() {
+			return nil, fmt.Errorf("arthas: pool unscrubbable (%s): %w", from.scrub, err)
 		}
-		inst, berr := build(name, source, cfg, pool)
-		if berr != nil {
-			return nil, berr
-		}
-		inst.LastScrub = rep
-		return inst, nil
 	}
-	return build(name, source, cfg, pool)
+	return build(name, source, cfg, from)
 }
 
 // SavePool writes the durable image to w; reopen with Open. Unpersisted
@@ -264,7 +300,16 @@ func (i *Instance) SavePool(w io.Writer) error {
 	return err
 }
 
-func build(name, source string, cfg Config, pool *pmem.Pool) (*Instance, error) {
+// restored is durable state read back from a pool file or image; build
+// creates whatever is nil. scrub is the open-time healing pass, if one ran.
+type restored struct {
+	pool  *pmem.Pool
+	log   *checkpoint.Log
+	trace *trace.Trace
+	scrub *ScrubReport
+}
+
+func build(name, source string, cfg Config, from restored) (*Instance, error) {
 	if cfg.PoolWords == 0 {
 		cfg.PoolWords = 1 << 16
 	}
@@ -286,52 +331,113 @@ func build(name, source string, cfg Config, pool *pmem.Pool) (*Instance, error) 
 			return nil, fmt.Errorf("arthas: %w", err)
 		}
 	}
-	if pool == nil {
-		pool = pmem.New(cfg.PoolWords)
+	inst := &Instance{
+		Name:      name,
+		Module:    mod,
+		Pool:      from.pool,
+		Log:       from.log,
+		Trace:     from.trace,
+		Detector:  detector.New(),
+		LastScrub: from.scrub,
+		OptStats:  optStats,
+		cfg:       cfg,
+	}
+	if cfg.Detach&LayerAnalysis == 0 {
+		inst.Analysis = analysis.Analyze(mod)
+	}
+	if inst.Pool == nil {
+		inst.Pool = pmem.New(cfg.PoolWords)
+	}
+	if inst.Log == nil {
+		inst.Log = checkpoint.NewLog(cfg.MaxVersions)
+	}
+	if inst.Trace == nil {
+		inst.Trace = trace.New()
 	}
 	// Flight recorder: prefer a tail recovered from a reopened image (the
 	// recording continues where the crashed process stopped); otherwise
 	// create one when enabled. The pool embeds it in saved images either
 	// way, so forensic history is never silently dropped.
-	fl := pool.Flight()
-	if fl == nil && cfg.FlightEvents > 0 {
-		fl = obs.NewFlight(cfg.FlightEvents)
-		pool.AttachFlight(fl)
+	inst.Flight = inst.Pool.Flight()
+	if inst.Flight == nil && cfg.FlightEvents > 0 {
+		inst.Flight = obs.NewFlight(cfg.FlightEvents)
+		inst.Pool.AttachFlight(inst.Flight)
 	}
-	inst := &Instance{
-		Name:     name,
-		Module:   mod,
-		Analysis: analysis.Analyze(mod),
-		Pool:     pool,
-		Log:      checkpoint.NewLog(cfg.MaxVersions),
-		Trace:    trace.New(),
-		Detector: detector.New(),
-		Flight:   fl,
-		OptStats: optStats,
-		cfg:      cfg,
-	}
-	inst.Pool.SetHooks(inst.wrapHooks(inst.Log.Hooks()))
 	if cfg.Provenance {
 		inst.Prov = provenance.New()
-		inst.Pool.SetHooks(inst.wrapHooks(inst.Prov.WrapHooks(inst.Log.Hooks(), inst.Log)))
-		inst.Detector.Lineage = func(addr uint64) (int, bool) {
-			rec, ok := inst.Prov.Lookup(addr)
-			return rec.GUID, ok
-		}
+		inst.Detector.Lineage = inst.lineage
 	}
 	inst.SetObserver(cfg.Observer)
-	inst.boot()
+	inst.attach()
 	inst.lifecycle(EventBoot)
 	return inst, nil
 }
 
-// wrapHooks applies Config.WrapHooks (the replication shipper's tap)
-// outermost over h.
-func (i *Instance) wrapHooks(h pmem.Hooks) pmem.Hooks {
-	if i.cfg.WrapHooks == nil {
-		return h
+// attach installs the pool's persistence hooks for the layers the config
+// keeps — checkpoint log innermost, provenance over it, Config.WrapHooks (the
+// replication shipper's tap) outermost — and boots the first machine. New,
+// Open, OpenImage and Fork all wire their instance here and nowhere else.
+func (i *Instance) attach() {
+	var h pmem.Hooks
+	if i.cfg.Detach&LayerCheckpoint == 0 {
+		h = i.Log.Hooks()
 	}
-	return i.cfg.WrapHooks(h, i.Log)
+	if i.Prov != nil {
+		h = i.Prov.WrapHooks(h, i.Log)
+	}
+	if i.cfg.WrapHooks != nil {
+		h = i.cfg.WrapHooks(h, i.Log)
+	}
+	i.Pool.SetHooks(h)
+	i.boot()
+}
+
+// Fork returns an isolated speculative copy of the instance: a copy-on-write
+// fork of the pool, a fork of the checkpoint log wired to it, and a machine
+// of its own, sharing the compiled module and analysis read-only. What a
+// fork does stays in the fork — it records no address trace and no lineage,
+// has no observer or flight recorder, is never wrapped by Config.WrapHooks
+// (fork probes must not leak into the replication stream) and fires no
+// lifecycle events — so the reactor can run one probe on the live instance
+// and on any number of forks concurrently (docs/PARALLEL_MITIGATION.md). A
+// winning fork's pool is promoted by the reactor, never by the fork. Safe to
+// call from several goroutines while the parent is idle.
+func (i *Instance) Fork() *Instance {
+	f := &Instance{
+		Name:     i.Name,
+		Module:   i.Module,
+		Analysis: i.Analysis,
+		Pool:     i.Pool.Fork(),
+		Log:      i.Log.Fork(),
+		Trace:    trace.New(),
+		Detector: detector.New(),
+		OptStats: i.OptStats,
+		obsSink:  obs.Nop(),
+		cfg: Config{
+			StepLimit:      i.cfg.StepLimit,
+			RecoverFn:      i.cfg.RecoverFn,
+			RestartLatency: i.cfg.RestartLatency,
+			Detach:         i.cfg.Detach | LayerTrace,
+		},
+	}
+	f.Detector.LeakThresholdPct = i.Detector.LeakThresholdPct
+	f.attach()
+	return f
+}
+
+// need reports, as an error naming them, the layers among l that this
+// instance was built without.
+func (i *Instance) need(op string, l Layers) error {
+	if missing := i.cfg.Detach & l; missing != 0 {
+		return fmt.Errorf("arthas: %s needs the %s layer (Config.Detach)", op, missing)
+	}
+	return nil
+}
+
+// lineage is the detector's and scrubber's last-writer lookup (Prov != nil).
+func (i *Instance) lineage(addr uint64) (int, bool) {
+	rec, ok := i.Prov.Lookup(addr)
+	return rec.GUID, ok
 }
 
 // lifecycle delivers ev to Config.OnLifecycle when wired.
@@ -356,8 +462,10 @@ func (i *Instance) boot() {
 	i.Machine = vm.New(i.Module, i.Pool, vm.Config{StepLimit: i.cfg.StepLimit})
 	i.Machine.SetSink(i.obsSink)
 	i.Machine.ObsFlush = i.flushObs
-	i.Machine.TraceSink = i.Trace.Record
-	i.Machine.TraceReadSink = i.Trace.RecordRead
+	if i.cfg.Detach&LayerTrace == 0 {
+		i.Machine.TraceSink = i.Trace.Record
+		i.Machine.TraceReadSink = i.Trace.RecordRead
+	}
 	if i.Prov != nil {
 		i.Machine.WriteSink = i.Prov.NoteWrite
 		i.Prov.SetClock(i.Machine.Steps)
@@ -419,10 +527,7 @@ func (i *Instance) Scrub() (*ScrubReport, error) {
 	i.flushObs()
 	var lineage scrub.LineageFunc
 	if i.Prov != nil {
-		lineage = func(addr uint64) (int, bool) {
-			rec, ok := i.Prov.Lookup(addr)
-			return rec.GUID, ok
-		}
+		lineage = i.lineage
 	}
 	rep := scrub.RepairWithLineageFrom(i.Pool, i.Log, i.obsSink, lineage, i.cfg.ScrubSource)
 	i.LastScrub = rep
@@ -434,14 +539,6 @@ func (i *Instance) Scrub() (*ScrubReport, error) {
 
 // MediaSuspected reports whether any media block's checksum mismatches.
 func (i *Instance) MediaSuspected() bool { return i.Detector.CheckMedia(i.Pool) }
-
-// scrubHook adapts Scrub to the reactor's scrub-then-retry contract.
-func (i *Instance) scrubHook() func() error {
-	return func() error {
-		_, err := i.Scrub()
-		return err
-	}
-}
 
 // Call invokes a PML function with int64 arguments.
 func (i *Instance) Call(fn string, args ...int64) (int64, *Trap) {
@@ -476,67 +573,99 @@ func (i *Instance) Observe(trap *Trap) (Signature, bool) {
 // LastTrap returns the most recently observed failure.
 func (i *Instance) LastTrap() *Trap { return i.lastTrap }
 
+// Probe is a re-execution script (paper §4.5): restart the instance it is
+// handed, reproduce the failing operation, and return nil when the system is
+// healthy. The reactor runs it on the live instance and, when
+// Config.Reactor.Workers > 1, concurrently on Forks of it, so a probe must
+// reach the system only through its argument.
+type Probe func(*Instance) *Trap
+
+// CallProbe is the common probe: restart, then re-issue the failing call.
+func CallProbe(fn string, args ...int64) Probe {
+	return func(on *Instance) *Trap {
+		if trap := on.Restart(); trap != nil {
+			return trap
+		}
+		_, trap := on.Call(fn, args...)
+		return trap
+	}
+}
+
 // Mitigate runs the reactor workflow (slice → candidates → revert →
 // re-execute) for the most recently observed failure. reexec must restart
 // the system and reproduce the failing operation, returning nil when the
-// system is healthy — the paper's re-execution script.
+// system is healthy. The closure is opaque and bound to the live instance,
+// so the reversion search is sequential whatever Reactor.Workers says.
 func (i *Instance) Mitigate(reexec func() *Trap) (*Report, error) {
 	if i.lastTrap == nil {
 		return nil, fmt.Errorf("arthas: no observed failure; call Observe first")
 	}
-	ctx := &reactor.Context{
-		Analysis:     i.Analysis,
-		Trace:        i.Trace,
-		Log:          i.Log,
-		Pool:         i.Pool,
-		Fault:        i.lastTrap.Instr,
-		AddrFault:    i.lastTrap.Kind == vm.TrapSegfault,
-		ReExec:       reexec,
-		Scrub:        i.scrubHook(),
-		MediaSuspect: i.MediaSuspected,
-		Obs:          i.obsSink,
-	}
-	return i.runMitigation(ctx), nil
+	return i.mitigate(trapInstrs(i.lastTrap), i.lastTrap.Kind == vm.TrapSegfault,
+		func(*Instance) *Trap { return reexec() }, false)
 }
 
 // MitigateCall is Mitigate specialized to the common re-execution script
-// "restart, then re-issue one call". Unlike Mitigate — whose opaque reexec
-// closure is bound to the live instance — the recipe form can be replayed
-// against isolated copy-on-write forks of the pool and checkpoint log, so
-// when Config.Reactor.Workers > 1 the reversion search runs speculatively
-// in parallel (docs/PARALLEL_MITIGATION.md). At Workers <= 1 it behaves
-// exactly like the equivalent Mitigate call.
+// "restart, then re-issue one call". The recipe form can be replayed against
+// Forks, so when Config.Reactor.Workers > 1 the reversion search runs
+// speculatively in parallel (docs/PARALLEL_MITIGATION.md). At Workers <= 1 it
+// behaves exactly like the equivalent Mitigate call.
 func (i *Instance) MitigateCall(fn string, args ...int64) (*Report, error) {
 	if i.lastTrap == nil {
 		return nil, fmt.Errorf("arthas: no observed failure; call Observe first")
+	}
+	return i.MitigateProbe(trapInstrs(i.lastTrap), i.lastTrap.Kind == vm.TrapSegfault, CallProbe(fn, args...))
+}
+
+// MitigateWithFaults is Mitigate with explicit fault instructions, for
+// failures (data loss, wrong results) that have no trapping instruction.
+// Typically the fault instructions are the result returns of the serving
+// function; use RetInstrs to locate them.
+func (i *Instance) MitigateWithFaults(faults []*ir.Instr, reexec func() *Trap) (*Report, error) {
+	return i.mitigate(faults, false, func(*Instance) *Trap { return reexec() }, false)
+}
+
+// MitigateProbe is the general form the three above adapt to: explicit fault
+// instructions, whether the failure was an invalid address at them (the
+// slicer then follows pointer rather than content dependencies), and a
+// probe that runs on forks as well as on the live instance.
+func (i *Instance) MitigateProbe(faults []*ir.Instr, addrFault bool, probe Probe) (*Report, error) {
+	return i.mitigate(faults, addrFault, probe, true)
+}
+
+// mitigate is the one entry to the reactor: it assembles the context — the
+// layers, the fault, the probe on the live instance, the fork factory when
+// the probe is forkable, scrub-then-retry and the media monitor, telemetry —
+// and runs it with the in-flight flag raised, so health probes
+// (obs.HealthState.Mitigating via Mitigating) see the window.
+func (i *Instance) mitigate(faults []*ir.Instr, addrFault bool, probe Probe, forkable bool) (*Report, error) {
+	if err := i.need("mitigation", AllLayers); err != nil {
+		return nil, err
 	}
 	ctx := &reactor.Context{
 		Analysis:  i.Analysis,
 		Trace:     i.Trace,
 		Log:       i.Log,
 		Pool:      i.Pool,
-		Fault:     i.lastTrap.Instr,
-		AddrFault: i.lastTrap.Kind == vm.TrapSegfault,
-		ReExec: func() *Trap {
-			if trap := i.Restart(); trap != nil {
-				return trap
-			}
-			_, trap := i.Call(fn, args...)
-			return trap
+		Faults:    faults,
+		AddrFault: addrFault,
+		ReExec:    func() *Trap { return probe(i) },
+		Scrub: func() error {
+			_, err := i.Scrub()
+			return err
 		},
-		Scrub:        i.scrubHook(),
 		MediaSuspect: i.MediaSuspected,
 		Obs:          i.obsSink,
 	}
-	if i.cfg.Reactor.Workers > 1 {
-		ctx.ForkSession = i.forkSession(fn, args)
+	if forkable {
+		ctx.ForkSession = func() (*reactor.Session, error) {
+			f := i.Fork()
+			return &reactor.Session{
+				Pool:   f.Pool,
+				Log:    f.Log,
+				ReExec: func() *Trap { return probe(f) },
+			}, nil
+		}
 	}
-	return i.runMitigation(ctx), nil
-}
-
-// runMitigation invokes the reactor with the in-flight flag raised, so
-// health probes (obs.HealthState.Mitigating via Mitigating) see the window.
-func (i *Instance) runMitigation(ctx *reactor.Context) *Report {
 	i.mitigating.Store(true)
 	i.lifecycle(EventMitigateStart)
 	i.flushObs()
@@ -544,23 +673,33 @@ func (i *Instance) runMitigation(ctx *reactor.Context) *Report {
 		i.mitigating.Store(false)
 		i.lifecycle(EventMitigateEnd)
 	}()
-	return reactor.Mitigate(i.cfg.Reactor, ctx)
+	return reactor.Mitigate(i.cfg.Reactor, ctx), nil
+}
+
+// trapInstrs is the fault-instruction list of a trapping failure.
+func trapInstrs(trap *Trap) []*ir.Instr {
+	if trap.Instr == nil {
+		return nil
+	}
+	return []*ir.Instr{trap.Instr}
 }
 
 // Mitigating reports whether a mitigation is currently in flight. Safe to
 // call from other goroutines (the debug endpoint's health probe).
 func (i *Instance) Mitigating() bool { return i.mitigating.Load() }
 
-// BuildIncident assembles the `arthas-incident/v1` report for a completed
-// mitigation: the last observed failure's signature, the lineage of the
-// faulting words (Config.Provenance required for non-empty lineage), the
-// reactor's candidate plan with evidence, and the outcome.
-func (i *Instance) BuildIncident(rep *Report) *Incident {
+// IncidentInput gathers what the instance knows about a completed mitigation
+// for an `arthas-incident/v1` report: the last observed failure and its
+// signature, the reactor's report, the lineage index (Config.Provenance
+// required for non-empty lineage), the checkpoint log, the analysis, and the
+// last scrub. Callers that know more (a fault case's metadata, an index
+// frozen at failure time) fill that in before provenance.BuildIncident.
+func (i *Instance) IncidentInput(rep *Report) provenance.IncidentInput {
 	var sig detector.Signature
 	if i.lastTrap != nil {
 		sig = detector.SignatureOf(i.lastTrap)
 	}
-	return provenance.BuildIncident(provenance.IncidentInput{
+	return provenance.IncidentInput{
 		Case:      i.Name,
 		Signature: sig,
 		Trap:      i.lastTrap,
@@ -569,56 +708,13 @@ func (i *Instance) BuildIncident(rep *Report) *Incident {
 		Log:       i.Log,
 		Analysis:  i.Analysis,
 		Scrub:     i.LastScrub,
-	})
-}
-
-// forkSession builds the speculative-session factory for MitigateCall: each
-// session is a COW fork of the pool with its own forked checkpoint log and
-// a private machine. Fork machines carry no trace or telemetry sinks —
-// speculative probes must not pollute the instance's shared state.
-func (i *Instance) forkSession(fn string, args []int64) func() (*reactor.Session, error) {
-	return func() (*reactor.Session, error) {
-		pool := i.Pool.Fork()
-		log := i.Log.Fork()
-		pool.SetHooks(log.Hooks())
-		return &reactor.Session{
-			Pool: pool,
-			Log:  log,
-			ReExec: func() *Trap {
-				if i.cfg.RestartLatency > 0 {
-					time.Sleep(i.cfg.RestartLatency)
-				}
-				pool.Crash()
-				m := vm.New(i.Module, pool, vm.Config{StepLimit: i.cfg.StepLimit})
-				if i.cfg.RecoverFn != "" {
-					if _, trap := m.Call(i.cfg.RecoverFn); trap != nil {
-						return trap
-					}
-				}
-				_, trap := m.Call(fn, args...)
-				return trap
-			},
-		}, nil
 	}
 }
 
-// MitigateWithFaults is Mitigate with explicit fault instructions, for
-// failures (data loss, wrong results) that have no trapping instruction.
-// Typically the fault instructions are the result returns of the serving
-// function; use RetInstrs to locate them.
-func (i *Instance) MitigateWithFaults(faults []*ir.Instr, reexec func() *Trap) (*Report, error) {
-	ctx := &reactor.Context{
-		Analysis:     i.Analysis,
-		Trace:        i.Trace,
-		Log:          i.Log,
-		Pool:         i.Pool,
-		Faults:       faults,
-		ReExec:       reexec,
-		Scrub:        i.scrubHook(),
-		MediaSuspect: i.MediaSuspected,
-		Obs:          i.obsSink,
-	}
-	return i.runMitigation(ctx), nil
+// BuildIncident assembles the `arthas-incident/v1` report for a completed
+// mitigation from IncidentInput.
+func (i *Instance) BuildIncident(rep *Report) *Incident {
+	return provenance.BuildIncident(i.IncidentInput(rep))
 }
 
 // RetInstrs returns the return instructions of a PML function — the default
@@ -643,6 +739,9 @@ func (i *Instance) RetInstrs(fn string) []*ir.Instr {
 func (i *Instance) MitigateLeak() (*LeakReport, error) {
 	if i.cfg.RecoverFn == "" {
 		return nil, fmt.Errorf("arthas: leak mitigation needs Config.RecoverFn (annotated with recover_begin/recover_end)")
+	}
+	if err := i.need("leak mitigation", LayerCheckpoint); err != nil {
+		return nil, err
 	}
 	if trap := i.Restart(); trap != nil {
 		return nil, fmt.Errorf("arthas: recovery failed: %v", trap)
@@ -682,7 +781,10 @@ func (i *Instance) InjectMediaFault(f MediaFault) error {
 
 // Stats summarizes the instance for logs.
 func (i *Instance) Stats() string {
-	st := i.Analysis.Stats()
+	var st analysis.Stats
+	if i.Analysis != nil {
+		st = i.Analysis.Stats()
+	}
 	return fmt.Sprintf("%s: %d funcs, %d instrs (%d PM), %d PDG edges; pool %d/%d words live; %d checkpointed updates; %d trace events",
 		i.Name, st.Functions, st.Instructions, st.PMInstrs, st.PDGEdges,
 		i.Pool.LiveWords(), i.Pool.Words(), i.Log.TotalVersions(), i.Trace.Len())

@@ -70,20 +70,9 @@ func main() {
 
 func loadSource(builtin string, args []string) (string, string, error) {
 	if builtin != "" {
-		var sys *systems.System
-		switch builtin {
-		case "memcached":
-			sys = systems.Memcached()
-		case "redis":
-			sys = systems.Redis()
-		case "pelikan":
-			sys = systems.Pelikan()
-		case "pmemkv":
-			sys = systems.PMEMKV()
-		case "cceh":
-			sys = systems.CCEH()
-		default:
-			return "", "", fmt.Errorf("unknown built-in %q", builtin)
+		sys, err := systems.ByName(builtin)
+		if err != nil {
+			return "", "", err
 		}
 		return sys.Name, sys.Source, nil
 	}

@@ -31,6 +31,9 @@ const (
 
 // SaveImage writes pool + checkpoint log + trace.
 func (i *Instance) SaveImage(w io.Writer) error {
+	if err := i.need("SaveImage", LayerCheckpoint|LayerTrace); err != nil {
+		return err
+	}
 	return WriteImage(w, i.Pool, i.Log, i.Trace)
 }
 
@@ -81,51 +84,30 @@ func OpenImage(name, source string, cfg Config, r io.Reader) (*Instance, error) 
 	if v := binary.LittleEndian.Uint64(hdr[8:]); v != imageVersion {
 		return nil, fmt.Errorf("arthas: image version %d, want %d", v, imageVersion)
 	}
-	pool, err := pmem.ReadPool(r)
-	var scrubRep *scrub.Report
-	if err != nil {
-		var merr *pmem.MediaError
-		if !errors.As(err, &merr) || pool == nil {
-			return nil, fmt.Errorf("arthas: %w", err)
-		}
-		// The log and trace sections follow the pool bytes, which were fully
-		// consumed even on a media error — read them, then heal with the log.
-		log, lerr := checkpoint.ReadLog(r)
-		if lerr != nil {
-			return nil, fmt.Errorf("arthas: %w (and media corrupt: %v)", lerr, err)
-		}
-		tr, terr := trace.ReadTrace(r)
-		if terr != nil {
-			return nil, fmt.Errorf("arthas: %w (and media corrupt: %v)", terr, err)
-		}
-		scrubRep = scrub.Repair(pool, log, obs.OrNop(cfg.Observer))
-		if !scrubRep.Healthy() {
-			return nil, fmt.Errorf("arthas: image unscrubbable (%s): %w", scrubRep, err)
-		}
-		return assembleImage(name, source, cfg, pool, log, tr, scrubRep)
+	// The log and trace sections follow the pool bytes, which are fully
+	// consumed even on a media error — read them, then heal with the log.
+	pool, perr := pmem.ReadPool(r)
+	var merr *pmem.MediaError
+	if perr != nil && (!errors.As(perr, &merr) || pool == nil) {
+		return nil, fmt.Errorf("arthas: %w", perr)
 	}
-	log, err := checkpoint.ReadLog(r)
-	if err != nil {
+	from := restored{pool: pool}
+	var err error
+	if from.log, err = checkpoint.ReadLog(r); err == nil {
+		from.trace, err = trace.ReadTrace(r)
+	}
+	switch {
+	case err != nil && perr != nil:
+		return nil, fmt.Errorf("arthas: %w (and media corrupt: %v)", err, perr)
+	case err != nil:
 		return nil, fmt.Errorf("arthas: %w", err)
+	case perr != nil:
+		from.scrub = scrub.Repair(pool, from.log, obs.OrNop(cfg.Observer))
+		if !from.scrub.Healthy() {
+			return nil, fmt.Errorf("arthas: image unscrubbable (%s): %w", from.scrub, perr)
+		}
 	}
-	tr, err := trace.ReadTrace(r)
-	if err != nil {
-		return nil, fmt.Errorf("arthas: %w", err)
-	}
-	return assembleImage(name, source, cfg, pool, log, tr, nil)
-}
-
-func assembleImage(name, source string, cfg Config, pool *pmem.Pool, log *checkpoint.Log, tr *trace.Trace, scrubRep *scrub.Report) (*Instance, error) {
-	inst, err := build(name, source, cfg, pool)
-	if err != nil {
-		return nil, err
-	}
-	inst.Log = log
-	inst.Trace = tr
-	inst.LastScrub = scrubRep
-	inst.Pool.SetHooks(inst.wrapHooks(inst.Log.Hooks()))
-	inst.boot() // rebind trace sinks to the restored trace
-	return inst, nil
+	return build(name, source, cfg, from)
 }
 
 // ReadAnyImage opens either a full image (SaveImage) or a bare pool file

@@ -162,7 +162,8 @@ func runFixture(name, source string, calls [][2]interface{}, optimize bool, row 
 // runSystem measures one paper system under one build: deploy (InitFn runs
 // inside), then the system's insert/update stream.
 func runSystem(sysName string, cfg OptimizeConfig, optimize bool, row *OptimizeRow) error {
-	d, _, err := deployForOptimize(sysName, optimize)
+	d, err := deploySystem(sysName, arthas.Config{Provenance: true, Optimize: optimize,
+		Detach: arthas.LayerCheckpoint | arthas.LayerTrace})
 	if err != nil {
 		return err
 	}
@@ -177,31 +178,6 @@ func runSystem(sysName string, cfg OptimizeConfig, optimize bool, row *OptimizeR
 	fill(row, optimize, st.PersistOps, st.PersistedWords, st.RedundantPersists,
 		st.RedundantRatio, float64(len(ops)), secs)
 	return nil
-}
-
-func deployForOptimize(sysName string, optimize bool) (*systems.Deployment, *systems.System, error) {
-	var sys *systems.System
-	switch sysName {
-	case "memcached":
-		sys = systems.Memcached()
-	case "redis":
-		sys = systems.Redis()
-	case "pelikan":
-		sys = systems.Pelikan()
-	case "pmemkv":
-		sys = systems.PMEMKV()
-	case "cceh":
-		sys = systems.CCEH()
-	default:
-		return nil, nil, fmt.Errorf("unknown system %q", sysName)
-	}
-	sys.PoolWords = 1 << 21
-	d, err := systems.Deploy(sys, systems.DeployOpts{
-		StepLimit:  1 << 40,
-		Provenance: true,
-		Optimize:   optimize,
-	})
-	return d, sys, err
 }
 
 func fill(row *OptimizeRow, optimize bool, persistOps, words, redundant uint64, ratio, nops, secs float64) {
@@ -250,7 +226,7 @@ func RunOptimize(cfg OptimizeConfig) (*OptimizeResults, error) {
 	}
 
 	for _, sysName := range OverheadSystems {
-		_, sys, err := deployForOptimize(sysName, false)
+		sys, err := systems.ByName(sysName)
 		if err != nil {
 			return nil, err
 		}

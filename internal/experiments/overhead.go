@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"arthas"
 	"arthas/internal/baseline"
 	"arthas/internal/systems"
 	"arthas/internal/workload"
@@ -98,39 +99,31 @@ func (r *OverheadResults) Relative(system string, v Variant) float64 {
 	return cell.OpsPerSec() / base.OpsPerSec()
 }
 
-// deployFor builds a system deployment for a variant. Pool sizing is
-// generous so allocator churn does not dominate.
-func deployFor(sysName string, v Variant) (*systems.Deployment, *baseline.PmCRIU, error) {
-	var sys *systems.System
-	switch sysName {
-	case "memcached":
-		sys = systems.Memcached()
-	case "redis":
-		sys = systems.Redis()
-	case "pelikan":
-		sys = systems.Pelikan()
-	case "pmemkv":
-		sys = systems.PMEMKV()
-	case "cceh":
-		sys = systems.CCEH()
-	default:
-		return nil, nil, fmt.Errorf("unknown system %q", sysName)
+// detached is what each variant leaves out of the toolchain.
+var detached = map[Variant]arthas.Layers{
+	Vanilla:        arthas.AllLayers,
+	WithPmCRIU:     arthas.AllLayers,
+	WithArthas:     0,
+	WithCheckpoint: arthas.LayerAnalysis | arthas.LayerTrace,
+	WithInstr:      arthas.LayerCheckpoint,
+}
+
+// deploySystem deploys a paper system for throughput measurement. Pool
+// sizing is generous so allocator churn does not dominate, and the step
+// limit never fires.
+func deploySystem(sysName string, cfg arthas.Config) (*arthas.Instance, error) {
+	sys, err := systems.ByName(sysName)
+	if err != nil {
+		return nil, err
 	}
 	sys.PoolWords = 1 << 21
-	opts := systems.DeployOpts{StepLimit: 1 << 40}
-	switch v {
-	case Vanilla, WithPmCRIU:
-		opts.SkipAnalysis = true
-	case WithArthas:
-		opts.Checkpoint = true
-		opts.Trace = true
-	case WithCheckpoint:
-		opts.Checkpoint = true
-		opts.SkipAnalysis = true
-	case WithInstr:
-		opts.Trace = true
-	}
-	d, err := systems.Deploy(sys, opts)
+	cfg.StepLimit = 1 << 40
+	return systems.Deploy(sys, cfg)
+}
+
+// deployFor builds a system deployment for a variant.
+func deployFor(sysName string, v Variant) (*arthas.Instance, *baseline.PmCRIU, error) {
+	d, err := deploySystem(sysName, arthas.Config{Detach: detached[v]})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -142,7 +135,7 @@ func deployFor(sysName string, v Variant) (*systems.Deployment, *baseline.PmCRIU
 }
 
 // runnerFor adapts a system's request functions to the workload runner.
-func runnerFor(sysName string, d *systems.Deployment) *workload.Runner {
+func runnerFor(sysName string, d *arthas.Instance) *workload.Runner {
 	call := func(fn string, args ...int64) error {
 		if _, trap := d.Call(fn, args...); trap != nil {
 			return trap

@@ -32,10 +32,7 @@ type StaticTiming struct {
 // MeasureStatic runs the analyzer over all five systems.
 func MeasureStatic() ([]StaticTiming, error) {
 	var out []StaticTiming
-	for _, sys := range []*systems.System{
-		systems.Memcached(), systems.Redis(), systems.Pelikan(),
-		systems.PMEMKV(), systems.CCEH(),
-	} {
+	for _, sys := range systems.All() {
 		mod, err := ir.CompileSource(sys.Name, sys.Source)
 		if err != nil {
 			return nil, err

@@ -1,8 +1,6 @@
 package faults
 
-import (
-	"arthas/internal/systems"
-)
+import "arthas"
 
 // RunDetectionAlternatives drives a case to its failed state and evaluates
 // the §6.6 alternatives: do the system's common domain invariants catch the
@@ -10,11 +8,11 @@ import (
 // fixing the state remains Arthas's job (Table 7's point).
 func RunDetectionAlternatives(b Builder, cfg RunConfig) (invariant, checksum bool, err error) {
 	cfg = cfg.withDefaults(b.Meta)
-	c, trap, _, err := runToFailure(b, cfg, systems.DeployOpts{Checkpoint: true, Trace: true}, nil)
+	c, err := b.New(arthas.Config{})
 	if err != nil {
 		return false, false, err
 	}
-	if trap == nil {
+	if trap, _ := runToFailure(c, cfg, nil, nil); trap == nil {
 		return false, false, nil
 	}
 	if c.RunInvariants != nil {

@@ -14,9 +14,9 @@ package faults
 import (
 	"fmt"
 
+	"arthas"
 	"arthas/internal/detector"
 	"arthas/internal/ir"
-	"arthas/internal/systems"
 	"arthas/internal/vm"
 )
 
@@ -46,7 +46,7 @@ type Meta struct {
 // Case is a deployed, runnable fault scenario.
 type Case struct {
 	Meta
-	D *systems.Deployment
+	D *arthas.Instance
 
 	// Workload runs ops pre-fault operations; tick is invoked once per
 	// logical operation (pmCRIU snapshot cadence). tick may be nil.
@@ -54,16 +54,13 @@ type Case struct {
 	// Trigger fires the bug. For cases whose trigger is an injected
 	// crash, Trigger returns the observed trap.
 	Trigger func() *vm.Trap
-	// Probe restarts the system and reproduces the failure symptom;
-	// nil = healthy. Synthetic traps (UserFail with case-specific codes)
-	// represent data-loss symptoms.
-	Probe func() *vm.Trap
-	// ProbeOn is Probe generalized over the deployment it runs against, so
-	// the parallel reactor can probe copy-on-write forks of the live
-	// deployment concurrently (Probe must stay pinned to c.D). Cases that
-	// define ProbeOn set Probe = func() { return ProbeOn(c.D) }. Nil for
-	// leak cases, whose mitigation never re-executes speculatively.
-	ProbeOn func(d *systems.Deployment) *vm.Trap
+	// Probe restarts the instance it is handed and reproduces the failure
+	// symptom there; nil = healthy (the paper's re-execution script).
+	// Synthetic traps (UserFail with case-specific codes) represent
+	// data-loss symptoms. The runners probe c.D; the parallel reactor also
+	// probes copy-on-write forks of it concurrently, so a probe reaches the
+	// system only through its argument.
+	Probe arthas.Probe
 	// FaultInstrs resolves the fault instruction(s) from the probe trap.
 	FaultInstrs func(trap *vm.Trap) []*ir.Instr
 	// Consistency validates the recovered system beyond the probe
@@ -81,8 +78,11 @@ type Case struct {
 // build a new one per run).
 type Builder struct {
 	Meta
-	New func(opts systems.DeployOpts) (*Case, error)
+	New func(cfg arthas.Config) (*Case, error)
 }
+
+// probe runs the case's probe against its own deployment.
+func (c *Case) probe() *vm.Trap { return c.Probe(c.D) }
 
 // All returns the twelve builders in paper order.
 func All() []Builder {

@@ -3,8 +3,21 @@ package faults
 import (
 	"testing"
 
-	"arthas/internal/systems"
+	"arthas"
+	"arthas/internal/vm"
 )
+
+// driveToFailure builds b under the full toolchain and runs it to its
+// failure with the default run configuration.
+func driveToFailure(t *testing.T, b Builder) (*Case, *vm.Trap, bool) {
+	t.Helper()
+	c, err := b.New(arthas.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	trap, hard := runToFailure(c, RunConfig{}.withDefaults(b.Meta), nil, nil)
+	return c, trap, hard
+}
 
 // TestArthasRecoversAllCases is the repository's Table 3 headline: Arthas
 // mitigates every one of the twelve hard faults.
@@ -12,6 +25,7 @@ func TestArthasRecoversAllCases(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.ID, func(t *testing.T) {
+			t.Parallel()
 			out, err := RunArthas(b, RunConfig{})
 			if err != nil {
 				t.Fatalf("%s: %v", b.ID, err)
@@ -62,11 +76,8 @@ func TestFaultsAreHard(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.ID, func(t *testing.T) {
-			cfg := RunConfig{}.withDefaults(b.Meta)
-			_, trap, hard, err := runToFailure(b, cfg, systems.DeployOpts{Checkpoint: true, Trace: true}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			t.Parallel()
+			_, trap, hard := driveToFailure(t, b)
 			if trap == nil {
 				t.Fatalf("%s: failure did not manifest", b.ID)
 			}
@@ -174,11 +185,8 @@ func TestInvariantDetectability(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.ID, func(t *testing.T) {
-			cfg := RunConfig{}.withDefaults(b.Meta)
-			c, trap, _, err := runToFailure(b, cfg, systems.DeployOpts{Checkpoint: true, Trace: true}, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
+			t.Parallel()
+			c, trap, _ := driveToFailure(t, b)
 			if trap == nil {
 				t.Fatal("no failure")
 			}
@@ -195,11 +203,7 @@ func TestInvariantDetectability(t *testing.T) {
 
 // TestChecksumDetectsOnlyF5 reproduces §6.6.
 func TestChecksumDetectsOnlyF5(t *testing.T) {
-	cfg := RunConfig{}.withDefaults(F5().Meta)
-	c, trap, _, err := runToFailure(F5(), cfg, systems.DeployOpts{Checkpoint: true, Trace: true}, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
+	c, trap, _ := driveToFailure(t, F5())
 	if trap == nil {
 		t.Fatal("no failure")
 	}

@@ -20,6 +20,7 @@ func TestIncidentDeterminismAndRootCause(t *testing.T) {
 		}
 		b := b
 		t.Run(b.ID, func(t *testing.T) {
+			t.Parallel()
 			run := func(workers int) *Outcome {
 				cfg := RunConfig{Provenance: true}
 				cfg.Reactor = reactor.DefaultConfig()

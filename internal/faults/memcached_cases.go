@@ -3,6 +3,7 @@ package faults
 import (
 	"fmt"
 
+	"arthas"
 	"arthas/internal/detector"
 	"arthas/internal/ir"
 	"arthas/internal/systems"
@@ -66,6 +67,24 @@ func mcInvariants(mc *systems.MC) bool {
 	return count != walked
 }
 
+// mcMissProbe is the data-loss probe: restart, then a get of a key that must
+// be present; a miss is the symptom, reported as a synthetic trap.
+func mcMissProbe(key, code int64, msg string) arthas.Probe {
+	return func(on *arthas.Instance) *vm.Trap {
+		if trap := on.Restart(); trap != nil {
+			return trap
+		}
+		v, trap := on.Call("mc_get", key)
+		if trap != nil {
+			return trap
+		}
+		if v == -1 {
+			return synthetic(code, msg)
+		}
+		return nil
+	}
+}
+
 // F1: Memcached refcount overflow -> deadlock (hang).
 func F1() Builder {
 	return Builder{
@@ -78,15 +97,15 @@ func F1() Builder {
 			// item: the invariant catches it (Table 7 ✓).
 			InvariantDetectable: true,
 		},
-		New: func(opts systems.DeployOpts) (*Case, error) {
-			if opts.StepLimit == 0 {
-				opts.StepLimit = 300_000 // quick hang detection
+		New: func(cfg arthas.Config) (*Case, error) {
+			if cfg.StepLimit == 0 {
+				cfg.StepLimit = 300_000 // quick hang detection
 			}
-			mc, err := systems.NewMC(opts)
+			mc, err := systems.NewMC(cfg)
 			if err != nil {
 				return nil, err
 			}
-			c := &Case{D: mc.Deployment}
+			c := &Case{D: mc.Instance}
 			c.Meta = F1().Meta
 			c.Workload = func(ops int, tick func() bool) { mcWorkload(mc, ops, tick) }
 			c.Trigger = func() *vm.Trap {
@@ -102,15 +121,7 @@ func F1() Builder {
 				mc.Set(356, 40, 2) // crawler frees, block reused, self-link
 				return nil
 			}
-			c.ProbeOn = func(d *systems.Deployment) *vm.Trap {
-				m := &systems.MC{Deployment: d}
-				if trap := m.Restart(); trap != nil {
-					return trap
-				}
-				_, trap := m.Call("mc_get", 36)
-				return trap
-			}
-			c.Probe = func() *vm.Trap { return c.ProbeOn(c.D) }
+			c.Probe = arthas.CallProbe("mc_get", 36)
 			c.FaultInstrs = instrOfTrap
 			c.Consistency = func() error { return mcConsistency(mc) }
 			c.RunInvariants = func() bool { return mcInvariants(mc) }
@@ -128,12 +139,12 @@ func F2() Builder {
 			Consequence: "Data loss",
 			Kind:        detector.FailDataLoss,
 		},
-		New: func(opts systems.DeployOpts) (*Case, error) {
-			mc, err := systems.NewMC(opts)
+		New: func(cfg arthas.Config) (*Case, error) {
+			mc, err := systems.NewMC(cfg)
 			if err != nil {
 				return nil, err
 			}
-			c := &Case{D: mc.Deployment}
+			c := &Case{D: mc.Instance}
 			c.Meta = F2().Meta
 			c.Workload = func(ops int, tick func() bool) { mcWorkload(mc, ops, tick) }
 			c.Trigger = func() *vm.Trap {
@@ -142,21 +153,7 @@ func F2() Builder {
 			}
 			// Key 43 is a workload key set long before the trigger, so any
 			// pre-trigger snapshot contains it.
-			c.ProbeOn = func(d *systems.Deployment) *vm.Trap {
-				m := &systems.MC{Deployment: d}
-				if trap := m.Restart(); trap != nil {
-					return trap
-				}
-				v, trap := m.Call("mc_get", 43)
-				if trap != nil {
-					return trap
-				}
-				if v == -1 {
-					return synthetic(1002, "known key flushed away")
-				}
-				return nil
-			}
-			c.Probe = func() *vm.Trap { return c.ProbeOn(c.D) }
+			c.Probe = mcMissProbe(43, 1002, "known key flushed away")
 			// The symptom is the flushed-miss return inside mc_get (the
 			// second return; the first is the plain lookup miss).
 			c.FaultInstrs = func(*vm.Trap) []*ir.Instr {
@@ -184,12 +181,12 @@ func F3() Builder {
 			Consequence: "Data loss",
 			Kind:        detector.FailDataLoss,
 		},
-		New: func(opts systems.DeployOpts) (*Case, error) {
-			mc, err := systems.NewMC(opts)
+		New: func(cfg arthas.Config) (*Case, error) {
+			mc, err := systems.NewMC(cfg)
 			if err != nil {
 				return nil, err
 			}
-			c := &Case{D: mc.Deployment}
+			c := &Case{D: mc.Instance}
 			c.Meta = F3().Meta
 			var lostKey int64
 			c.Workload = func(ops int, tick func() bool) { mcWorkload(mc, ops, tick) }
@@ -206,24 +203,12 @@ func F3() Builder {
 				}
 				return nil
 			}
-			c.ProbeOn = func(d *systems.Deployment) *vm.Trap {
+			c.Probe = func(on *arthas.Instance) *vm.Trap {
 				if lostKey == 0 {
 					return nil // race did not lose an insert this run
 				}
-				m := &systems.MC{Deployment: d}
-				if trap := m.Restart(); trap != nil {
-					return trap
-				}
-				v, trap := m.Call("mc_get", lostKey)
-				if trap != nil {
-					return trap
-				}
-				if v == -1 {
-					return synthetic(1003, "racy insert lost")
-				}
-				return nil
+				return mcMissProbe(lostKey, 1003, "racy insert lost")(on)
 			}
-			c.Probe = func() *vm.Trap { return c.ProbeOn(c.D) }
 			// Lookup-miss return of mc_get.
 			c.FaultInstrs = func(*vm.Trap) []*ir.Instr {
 				rets := c.D.RetInstrs("mc_get")
@@ -253,12 +238,12 @@ func F4() Builder {
 			// (Table 7 ✓).
 			InvariantDetectable: true,
 		},
-		New: func(opts systems.DeployOpts) (*Case, error) {
-			mc, err := systems.NewMC(opts)
+		New: func(cfg arthas.Config) (*Case, error) {
+			mc, err := systems.NewMC(cfg)
 			if err != nil {
 				return nil, err
 			}
-			c := &Case{D: mc.Deployment}
+			c := &Case{D: mc.Instance}
 			c.Meta = F4().Meta
 			c.Workload = func(ops int, tick func() bool) { mcWorkload(mc, ops, tick) }
 			c.Trigger = func() *vm.Trap {
@@ -268,15 +253,7 @@ func F4() Builder {
 				mc.Call("mc_append", 205, 70_000, 9)
 				return nil
 			}
-			c.ProbeOn = func(d *systems.Deployment) *vm.Trap {
-				m := &systems.MC{Deployment: d}
-				if trap := m.Restart(); trap != nil {
-					return trap
-				}
-				_, trap := m.Call("mc_get", 205)
-				return trap
-			}
-			c.Probe = func() *vm.Trap { return c.ProbeOn(c.D) }
+			c.Probe = arthas.CallProbe("mc_get", 205)
 			c.FaultInstrs = instrOfTrap
 			c.Consistency = func() error {
 				if err := mcConsistency(mc); err != nil {
@@ -318,12 +295,12 @@ func F5() Builder {
 			// The only case a checksum guard catches (§6.6).
 			ChecksumDetectable: true,
 		},
-		New: func(opts systems.DeployOpts) (*Case, error) {
-			mc, err := systems.NewMC(opts)
+		New: func(cfg arthas.Config) (*Case, error) {
+			mc, err := systems.NewMC(cfg)
 			if err != nil {
 				return nil, err
 			}
-			c := &Case{D: mc.Deployment}
+			c := &Case{D: mc.Instance}
 			c.Meta = F5().Meta
 			// Guard over the root config words, updated at init time the
 			// way a checksum defense would maintain it.
@@ -335,21 +312,7 @@ func F5() Builder {
 				mc.Pool.InjectBitFlip(root+6, 0, true)
 				return nil
 			}
-			c.ProbeOn = func(d *systems.Deployment) *vm.Trap {
-				m := &systems.MC{Deployment: d}
-				if trap := m.Restart(); trap != nil {
-					return trap
-				}
-				v, trap := m.Call("mc_get", 43)
-				if trap != nil {
-					return trap
-				}
-				if v == -1 {
-					return synthetic(1005, "lookups routed to missing table")
-				}
-				return nil
-			}
-			c.Probe = func() *vm.Trap { return c.ProbeOn(c.D) }
+			c.Probe = mcMissProbe(43, 1005, "lookups routed to missing table")
 			c.FaultInstrs = func(*vm.Trap) []*ir.Instr {
 				rets := c.D.RetInstrs("mc_get")
 				if len(rets) >= 1 {

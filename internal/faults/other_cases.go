@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 
+	"arthas"
 	"arthas/internal/detector"
 	"arthas/internal/ir"
 	"arthas/internal/systems"
@@ -65,12 +66,12 @@ func F6() Builder {
 			// (Table 7 ✓).
 			InvariantDetectable: true,
 		},
-		New: func(opts systems.DeployOpts) (*Case, error) {
-			rd, err := systems.NewRD(opts)
+		New: func(cfg arthas.Config) (*Case, error) {
+			rd, err := systems.NewRD(cfg)
 			if err != nil {
 				return nil, err
 			}
-			c := &Case{D: rd.Deployment}
+			c := &Case{D: rd.Instance}
 			c.Meta = F6().Meta
 			created := false
 			c.Workload = func(ops int, tick func() bool) {
@@ -94,15 +95,7 @@ func F6() Builder {
 				}
 				return nil
 			}
-			c.ProbeOn = func(d *systems.Deployment) *vm.Trap {
-				r := &systems.RD{Deployment: d}
-				if trap := r.Restart(); trap != nil {
-					return trap
-				}
-				_, trap := r.Call("rd_get", 401)
-				return trap
-			}
-			c.Probe = func() *vm.Trap { return c.ProbeOn(c.D) }
+			c.Probe = arthas.CallProbe("rd_get", 401)
 			c.FaultInstrs = instrOfTrap
 			c.Consistency = func() error {
 				if err := rdConsistency(rd); err != nil {
@@ -142,12 +135,12 @@ func F7() Builder {
 			Consequence: "Server panic",
 			Kind:        detector.FailPanic,
 		},
-		New: func(opts systems.DeployOpts) (*Case, error) {
-			rd, err := systems.NewRD(opts)
+		New: func(cfg arthas.Config) (*Case, error) {
+			rd, err := systems.NewRD(cfg)
 			if err != nil {
 				return nil, err
 			}
-			c := &Case{D: rd.Deployment}
+			c := &Case{D: rd.Instance}
 			c.Meta = F7().Meta
 			c.Workload = func(ops int, tick func() bool) {
 				rd.Call("rd_share", 301)
@@ -163,15 +156,7 @@ func F7() Builder {
 				rd.Call("rd_unshare", 302, 1)
 				return nil
 			}
-			c.ProbeOn = func(d *systems.Deployment) *vm.Trap {
-				r := &systems.RD{Deployment: d}
-				if trap := r.Restart(); trap != nil {
-					return trap
-				}
-				_, trap := r.Call("rd_get", 301)
-				return trap
-			}
-			c.Probe = func() *vm.Trap { return c.ProbeOn(c.D) }
+			c.Probe = arthas.CallProbe("rd_get", 301)
 			c.FaultInstrs = instrOfTrap
 			c.Consistency = func() error {
 				if err := rdConsistency(rd); err != nil {
@@ -210,14 +195,14 @@ func F8() Builder {
 			Kind:        detector.FailLeak,
 			IsLeak:      true,
 		},
-		New: func(opts systems.DeployOpts) (*Case, error) {
+		New: func(cfg arthas.Config) (*Case, error) {
 			sys := systems.Redis()
 			sys.PoolWords = 1 << 13 // small pool so the leak matters
-			d, err := systems.Deploy(sys, opts)
+			d, err := systems.Deploy(sys, cfg)
 			if err != nil {
 				return nil, err
 			}
-			rd := &systems.RD{Deployment: d}
+			rd := &systems.RD{Instance: d}
 			c := &Case{D: d}
 			c.Meta = F8().Meta
 			c.Workload = func(ops int, tick func() bool) {
@@ -234,19 +219,15 @@ func F8() Builder {
 				rd.Call("rd_slowlog_on")
 				return nil
 			}
-			det := detector.New()
-			det.LeakThresholdPct = 40
-			c.Probe = func() *vm.Trap {
-				if trap := rd.Restart(); trap != nil {
+			c.Probe = func(on *arthas.Instance) *vm.Trap {
+				if trap := on.Restart(); trap != nil {
 					return trap
 				}
-				if det.CheckLeak(rd.Pool) {
+				if on.Detector.CheckLeak(on.Pool) {
 					return synthetic(1008, "PM usage above leak threshold")
 				}
-				if _, err := rd.Get(5); err != nil {
-					return err.(*vm.Trap)
-				}
-				return nil
+				_, trap := on.Call("rd_get", 5)
+				return trap
 			}
 			c.FaultInstrs = func(*vm.Trap) []*ir.Instr { return nil } // leak path
 			c.Consistency = func() error { return rdConsistency(rd) }
@@ -265,15 +246,15 @@ func F9() Builder {
 			Consequence: "Infinite loop",
 			Kind:        detector.FailHang,
 		},
-		New: func(opts systems.DeployOpts) (*Case, error) {
-			if opts.StepLimit == 0 {
-				opts.StepLimit = 300_000
+		New: func(cfg arthas.Config) (*Case, error) {
+			if cfg.StepLimit == 0 {
+				cfg.StepLimit = 300_000
 			}
-			cc, err := systems.NewCC(opts)
+			cc, err := systems.NewCC(cfg)
 			if err != nil {
 				return nil, err
 			}
-			c := &Case{D: cc.Deployment}
+			c := &Case{D: cc.Instance}
 			c.Meta = F9().Meta
 			var nextKey int64 = 1
 			c.Workload = func(ops int, tick func() bool) {
@@ -302,16 +283,14 @@ func F9() Builder {
 			// Concurrent speculative probes each need a fresh key; the
 			// atomic add keeps them unique (and -race clean) without
 			// changing the sequential behaviour.
-			c.ProbeOn = func(d *systems.Deployment) *vm.Trap {
-				h := &systems.CC{Deployment: d}
-				if trap := h.Restart(); trap != nil {
+			c.Probe = func(on *arthas.Instance) *vm.Trap {
+				if trap := on.Restart(); trap != nil {
 					return trap
 				}
 				k := atomic.AddInt64(&nextKey, 1) - 1
-				_, trap := h.Call("cc_insert", 900_000+k, 1)
+				_, trap := on.Call("cc_insert", 900_000+k, 1)
 				return trap
 			}
-			c.Probe = func() *vm.Trap { return c.ProbeOn(c.D) }
 			c.FaultInstrs = instrOfTrap
 			c.Consistency = func() error {
 				if rep := cc.Pool.CheckIntegrity(); !rep.OK() {
@@ -357,12 +336,12 @@ func F10() Builder {
 			DetectImmediately:   true,
 			InvariantDetectable: true,
 		},
-		New: func(opts systems.DeployOpts) (*Case, error) {
-			pk, err := systems.NewPK(opts)
+		New: func(cfg arthas.Config) (*Case, error) {
+			pk, err := systems.NewPK(cfg)
 			if err != nil {
 				return nil, err
 			}
-			c := &Case{D: pk.Deployment}
+			c := &Case{D: pk.Instance}
 			c.Meta = F10().Meta
 			c.Workload = func(ops int, tick func() bool) {
 				for i := 0; i < ops; i++ {
@@ -382,15 +361,7 @@ func F10() Builder {
 				pk.Set(209, 1, 70_000)
 				return nil
 			}
-			c.ProbeOn = func(d *systems.Deployment) *vm.Trap {
-				p := &systems.PK{Deployment: d}
-				if trap := p.Restart(); trap != nil {
-					return trap
-				}
-				_, trap := p.Call("pk_get", 209)
-				return trap
-			}
-			c.Probe = func() *vm.Trap { return c.ProbeOn(c.D) }
+			c.Probe = arthas.CallProbe("pk_get", 209)
 			c.FaultInstrs = instrOfTrap
 			c.Consistency = func() error {
 				if rep := pk.Pool.CheckIntegrity(); !rep.OK() {
@@ -435,12 +406,12 @@ func F11() Builder {
 			Kind:        detector.FailCrash,
 			AddrFault:   true,
 		},
-		New: func(opts systems.DeployOpts) (*Case, error) {
-			pk, err := systems.NewPK(opts)
+		New: func(cfg arthas.Config) (*Case, error) {
+			pk, err := systems.NewPK(cfg)
 			if err != nil {
 				return nil, err
 			}
-			c := &Case{D: pk.Deployment}
+			c := &Case{D: pk.Instance}
 			c.Meta = F11().Meta
 			c.Workload = func(ops int, tick func() bool) {
 				for i := 0; i < ops; i++ {
@@ -463,15 +434,7 @@ func F11() Builder {
 				}
 				return trap
 			}
-			c.ProbeOn = func(d *systems.Deployment) *vm.Trap {
-				p := &systems.PK{Deployment: d}
-				if trap := p.Restart(); trap != nil {
-					return trap
-				}
-				_, trap := p.Call("pk_stats")
-				return trap
-			}
-			c.Probe = func() *vm.Trap { return c.ProbeOn(c.D) }
+			c.Probe = arthas.CallProbe("pk_stats")
 			c.FaultInstrs = instrOfTrap
 			c.Consistency = func() error {
 				if rep := pk.Pool.CheckIntegrity(); !rep.OK() {
@@ -503,14 +466,14 @@ func F12() Builder {
 			Kind:        detector.FailLeak,
 			IsLeak:      true,
 		},
-		New: func(opts systems.DeployOpts) (*Case, error) {
+		New: func(cfg arthas.Config) (*Case, error) {
 			sys := systems.PMEMKV()
 			sys.PoolWords = 1 << 13
-			d, err := systems.Deploy(sys, opts)
+			d, err := systems.Deploy(sys, cfg)
 			if err != nil {
 				return nil, err
 			}
-			kv := &systems.KV{Deployment: d}
+			kv := &systems.KV{Instance: d}
 			c := &Case{D: d}
 			c.Meta = F12().Meta
 			var nextKey int64 = 1
@@ -543,19 +506,15 @@ func F12() Builder {
 				nextKey = 1000 // churn keys disjoint from the steady set
 				return nil
 			}
-			det := detector.New()
-			det.LeakThresholdPct = 40
-			c.Probe = func() *vm.Trap {
-				if trap := kv.Restart(); trap != nil {
+			c.Probe = func(on *arthas.Instance) *vm.Trap {
+				if trap := on.Restart(); trap != nil {
 					return trap
 				}
-				if det.CheckLeak(kv.Pool) {
+				if on.Detector.CheckLeak(on.Pool) {
 					return synthetic(1012, "PM usage above leak threshold")
 				}
-				if _, err := kv.Get(nextKey - 1); err != nil {
-					return err.(*vm.Trap)
-				}
-				return nil
+				_, trap := on.Call("kv_get", nextKey-1)
+				return trap
 			}
 			c.FaultInstrs = func(*vm.Trap) []*ir.Instr { return nil }
 			c.Consistency = func() error {

@@ -16,6 +16,7 @@ func TestParallelMitigationDeterminism(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.ID, func(t *testing.T) {
+			t.Parallel()
 			run := func(workers int) *Outcome {
 				cfg := RunConfig{}
 				cfg.Reactor = reactor.DefaultConfig()

@@ -3,12 +3,12 @@ package faults
 import (
 	"time"
 
+	"arthas"
 	"arthas/internal/baseline"
 	"arthas/internal/detector"
 	"arthas/internal/obs"
 	"arthas/internal/provenance"
 	"arthas/internal/reactor"
-	"arthas/internal/systems"
 	"arthas/internal/vm"
 )
 
@@ -107,26 +107,13 @@ type Outcome struct {
 	Incident *provenance.Incident
 }
 
-// runToFailure deploys, applies workload+trigger, confirms the failure and
-// its recurrence across restart (the soft-to-hard confirmation), and
-// returns the case plus the observed trap.
-func runToFailure(b Builder, cfg RunConfig, opts systems.DeployOpts, tick func() bool) (*Case, *vm.Trap, bool, error) {
-	c, err := b.New(opts)
-	if err != nil {
-		return nil, nil, false, err
-	}
-	sink := obs.OrNop(opts.Obs)
-	// The machine is replaced on every restart; read it at stamp time.
-	obs.WireClock(sink, func() int64 { return c.D.M.Steps() })
-	det := detector.New()
-	det.SetSink(sink)
-	det.LeakThresholdPct = cfg.LeakThresholdPct
-	if c.D.Prov != nil {
-		det.Lineage = func(addr uint64) (int, bool) {
-			rec, ok := c.D.Prov.Lookup(addr)
-			return rec.GUID, ok
-		}
-	}
+// runToFailure drives a freshly built case through workload+trigger,
+// confirms the failure and its recurrence across restart (the soft-to-hard
+// confirmation, through the instance's own detector), and returns the
+// observed trap. sink receives the pipeline.run / pipeline.detect spans.
+func runToFailure(c *Case, cfg RunConfig, sink obs.Sink, tick func() bool) (*vm.Trap, bool) {
+	sink = obs.OrNop(sink)
+	c.D.Detector.LeakThresholdPct = cfg.LeakThresholdPct
 
 	pre := int(float64(cfg.WorkloadOps) * cfg.TriggerFrac)
 	post := cfg.WorkloadOps - pre
@@ -137,7 +124,7 @@ func runToFailure(b Builder, cfg RunConfig, opts systems.DeployOpts, tick func()
 			stop = true
 			return false
 		}
-		if c.IsLeak && det.CheckLeak(c.D.Pool) {
+		if c.IsLeak && c.D.LeakSuspected() {
 			stop = true
 			return false
 		}
@@ -150,7 +137,7 @@ func runToFailure(b Builder, cfg RunConfig, opts systems.DeployOpts, tick func()
 		c.Trigger()
 		if c.DetectImmediately {
 			// The failing request arrives right after the trigger.
-			trap = c.Probe()
+			trap = c.probe()
 		}
 		if trap == nil && !stop {
 			c.Workload(post, wrapTick)
@@ -163,22 +150,30 @@ func runToFailure(b Builder, cfg RunConfig, opts systems.DeployOpts, tick func()
 	detSpan := sink.Start("pipeline.detect")
 	defer detSpan.End()
 	if trap == nil {
-		trap = c.Probe()
+		trap = c.probe()
 	}
 	if trap == nil {
 		detSpan.SetAttr("outcome", "healthy")
-		return c, nil, false, nil
+		return nil, false
 	}
-	_, _ = det.Observe(trap)
-	trap2 := c.Probe()
+	c.D.Observe(trap)
 	hard := false
-	if trap2 != nil {
-		_, hard = det.Observe(trap2)
+	if trap2 := c.probe(); trap2 != nil {
+		_, hard = c.D.Observe(trap2)
 		trap = trap2
 	}
 	detSpan.SetAttr("outcome", detector.KindOfTrap(trap.Kind).String())
 	detSpan.SetAttr("hard", hard)
-	return c, trap, hard, nil
+	return trap, hard
+}
+
+// recovered marks the end of a successful mitigation and runs the Table 4
+// consistency battery.
+func (c *Case) recovered(sink obs.Sink, solution string, out *Outcome) {
+	obs.OrNop(sink).Start("pipeline.recovered", obs.A("solution", solution)).End()
+	if c.Consistency != nil {
+		out.Consistent = c.Consistency()
+	}
 }
 
 // RunArthas executes a case end-to-end under the Arthas toolchain. It
@@ -190,12 +185,12 @@ func RunArthas(b Builder, cfg RunConfig) (*Outcome, error) {
 	cfg = cfg.withDefaults(b.Meta)
 	rec := obs.NewRecorder()
 	sink := obs.Multi(rec, cfg.Obs)
-	c, trap, hard, err := runToFailure(b, cfg,
-		systems.DeployOpts{Checkpoint: true, Trace: true, MaxVersions: cfg.MaxVersions,
-			Obs: sink, Provenance: cfg.Provenance, Optimize: cfg.Optimize}, nil)
+	c, err := b.New(arthas.Config{MaxVersions: cfg.MaxVersions, Reactor: cfg.Reactor,
+		Observer: sink, Provenance: cfg.Provenance, Optimize: cfg.Optimize})
 	if err != nil {
 		return nil, err
 	}
+	trap, hard := runToFailure(c, cfg, sink, nil)
 	out := &Outcome{Meta: c.Meta, Solution: "arthas", HardFault: hard}
 	if trap == nil {
 		out.Recovered = true // nothing to mitigate
@@ -206,71 +201,42 @@ func RunArthas(b Builder, cfg RunConfig) (*Outcome, error) {
 	if c.IsLeak {
 		// §4.7: restart, record the annotated recovery function's access
 		// set, diff against the checkpoint log's live allocations, free.
-		if tp := c.D.Restart(); tp != nil {
+		rep, err := c.D.MitigateLeak()
+		if err != nil {
 			return out, nil
 		}
-		rep := reactor.MitigateLeak(c.D.Pool, c.D.Log, c.D.M.RecoveryAccess, nil)
 		out.Freed = len(rep.FreedAddr)
 		out.Attempts = 1
-		out.Recovered = c.Probe() == nil
+		out.Recovered = c.probe() == nil
 		out.MitigationTime = time.Since(start)
 		if out.Recovered {
-			sink.Start("pipeline.recovered", obs.A("solution", "arthas-leak")).End()
-			if c.Consistency != nil {
-				out.Consistent = c.Consistency()
-			}
+			c.recovered(sink, "arthas-leak", out)
 		}
 		return out, nil
 	}
 
-	ctx := &reactor.Context{
-		Analysis:  c.D.Res,
-		Trace:     c.D.Tr,
-		Log:       c.D.Log,
-		Pool:      c.D.Pool,
-		Faults:    c.FaultInstrs(trap),
-		AddrFault: c.AddrFault,
-		ReExec:    c.Probe,
-		Obs:       sink,
-	}
-	if cfg.Reactor.Workers > 1 && c.ProbeOn != nil {
-		ctx.ForkSession = func() (*reactor.Session, error) {
-			fd := c.D.Fork()
-			return &reactor.Session{
-				Pool:   fd.Pool,
-				Log:    fd.Log,
-				ReExec: func() *vm.Trap { return c.ProbeOn(fd) },
-			}, nil
-		}
-	}
 	// Freeze the provenance evidence at failure time: sequential probe
 	// re-executions persist through the primary pool and log, so building
 	// the incident from the live index would tie the report to the worker
 	// count (docs/PARALLEL_MITIGATION.md, "Determinism").
 	var provAtFailure *provenance.Index
 	var versionsAtFailure uint64
-	if cfg.Provenance && c.D.Prov != nil {
+	if c.D.Prov != nil {
 		provAtFailure = c.D.Prov.Snapshot()
 		versionsAtFailure = c.D.Log.TotalVersions()
 	}
-	rep := reactor.Mitigate(cfg.Reactor, ctx)
+	rep, err := c.D.MitigateProbe(c.FaultInstrs(trap), c.AddrFault, c.Probe)
+	if err != nil {
+		return nil, err
+	}
 	out.Report = rep
 	out.Recovered = rep.Recovered
 	if provAtFailure != nil {
-		out.Incident = provenance.BuildIncident(provenance.IncidentInput{
-			Case:              c.Meta.ID,
-			System:            c.Meta.System,
-			Fault:             c.Meta.Fault,
-			Consequence:       c.Meta.Consequence,
-			Signature:         detector.SignatureOf(trap),
-			HardFault:         hard,
-			Trap:              trap,
-			Report:            rep,
-			Index:             provAtFailure,
-			Log:               c.D.Log,
-			Analysis:          c.D.Res,
-			VersionsAtFailure: versionsAtFailure,
-		})
+		in := c.D.IncidentInput(rep)
+		in.Case, in.System, in.Fault, in.Consequence = c.Meta.ID, c.Meta.System, c.Meta.Fault, c.Meta.Consequence
+		in.HardFault = hard
+		in.Index, in.VersionsAtFailure = provAtFailure, versionsAtFailure
+		out.Incident = provenance.BuildIncident(in)
 		c.D.Prov.Publish(sink)
 	}
 	// Tallies come from the telemetry, not private bookkeeping: attempts =
@@ -284,55 +250,41 @@ func RunArthas(b Builder, cfg RunConfig) (*Outcome, error) {
 	out.MitigationTime = time.Since(start)
 	out.TimedOut = !rep.Recovered
 	if rep.Recovered {
-		sink.Start("pipeline.recovered", obs.A("solution", "arthas")).End()
-		if c.Consistency != nil {
-			out.Consistent = c.Consistency()
-		}
+		c.recovered(sink, "arthas", out)
 	}
 	return out, nil
 }
 
-// RunPmCRIU executes a case under the coarse snapshot baseline.
+// RunPmCRIU executes a case under the coarse snapshot baseline: no Arthas
+// layer attaches (vanilla, to keep overhead honest); snapshots come from
+// the workload's tick callback.
 func RunPmCRIU(b Builder, cfg RunConfig) (*Outcome, error) {
 	cfg = cfg.withDefaults(b.Meta)
-	// pmCRIU attaches no Arthas instrumentation; snapshots come from the
-	// tick callback. (Checkpointing stays on only to measure nothing —
-	// we deploy vanilla to keep overhead honest.)
-	var criu *baseline.PmCRIU
+	c, err := b.New(arthas.Config{Observer: cfg.Obs, Optimize: cfg.Optimize,
+		Detach: arthas.AllLayers})
+	if err != nil {
+		return nil, err
+	}
 	interval := uint64(cfg.WorkloadOps / cfg.Snapshots)
 	if interval == 0 {
 		interval = 1
 	}
-	tick := func() bool {
+	criu := baseline.NewPmCRIU(c.D.Pool, interval)
+	criu.Obs = cfg.Obs
+	trap, hard := runToFailure(c, cfg, cfg.Obs, func() bool {
 		criu.Tick(1)
 		return true
-	}
-	var caseRef *Case
-	deploy := func(opts systems.DeployOpts) (*Case, error) {
-		c, err := b.New(opts)
-		if err != nil {
-			return nil, err
-		}
-		criu = baseline.NewPmCRIU(c.D.Pool, interval)
-		criu.Obs = cfg.Obs
-		caseRef = c
-		return c, nil
-	}
-	c, trap, hard, err := runToFailure(wrapBuilder(b, deploy), cfg,
-		systems.DeployOpts{SkipAnalysis: true, Obs: cfg.Obs, Optimize: cfg.Optimize}, tick)
-	if err != nil {
-		return nil, err
-	}
-	_ = caseRef
+	})
 	out := &Outcome{Meta: c.Meta, Solution: "pmcriu", HardFault: hard}
 	if trap == nil {
 		out.Recovered = true
 		return out, nil
 	}
-	// Measure pre-mitigation durable footprint for the loss metric.
-	written := writtenWords(c)
+	// Pre-mitigation durable footprint, the loss metric's denominator: the
+	// live allocation footprint approximates the data the system holds.
+	written := c.D.Pool.LiveWords()
 	start := time.Now()
-	rep := criu.Mitigate(c.Probe)
+	rep := criu.Mitigate(c.probe)
 	out.Recovered = rep.Recovered
 	out.Attempts = rep.Attempts
 	out.RevertedItems = rep.SnapshotsBack
@@ -348,12 +300,7 @@ func RunPmCRIU(b Builder, cfg RunConfig) (*Outcome, error) {
 		}
 	}
 	if rep.Recovered {
-		if obs.Enabled(cfg.Obs) {
-			cfg.Obs.Start("pipeline.recovered", obs.A("solution", "pmcriu")).End()
-		}
-		if c.Consistency != nil {
-			out.Consistent = c.Consistency()
-		}
+		c.recovered(cfg.Obs, "pmcriu", out)
 	}
 	return out, nil
 }
@@ -365,18 +312,19 @@ func RunArCkpt(b Builder, cfg RunConfig) (*Outcome, error) {
 	cfg = cfg.withDefaults(b.Meta)
 	rec := obs.NewRecorder()
 	sink := obs.Multi(rec, cfg.Obs)
-	c, trap, hard, err := runToFailure(b, cfg,
-		systems.DeployOpts{Checkpoint: true, SkipAnalysis: true, Obs: sink, Optimize: cfg.Optimize}, nil)
+	c, err := b.New(arthas.Config{Observer: sink, Optimize: cfg.Optimize,
+		Detach: arthas.LayerAnalysis | arthas.LayerTrace})
 	if err != nil {
 		return nil, err
 	}
+	trap, hard := runToFailure(c, cfg, sink, nil)
 	out := &Outcome{Meta: c.Meta, Solution: "arckpt", HardFault: hard}
 	if trap == nil {
 		out.Recovered = true
 		return out, nil
 	}
 	start := time.Now()
-	rep := baseline.MitigateArCkpt(c.D.Pool, c.D.Log, c.Probe,
+	rep := baseline.MitigateArCkpt(c.D.Pool, c.D.Log, c.probe,
 		baseline.ArCkptConfig{MaxAttempts: cfg.ArCkptAttempts, Obs: sink})
 	out.Recovered = rep.Recovered
 	out.Attempts = rep.Attempts
@@ -387,31 +335,7 @@ func RunArCkpt(b Builder, cfg RunConfig) (*Outcome, error) {
 		out.DataLossPct = 100 * float64(out.RevertedItems) / float64(total)
 	}
 	if rep.Recovered {
-		sink.Start("pipeline.recovered", obs.A("solution", "arckpt")).End()
-		if c.Consistency != nil {
-			out.Consistent = c.Consistency()
-		}
+		c.recovered(sink, "arckpt", out)
 	}
 	return out, nil
-}
-
-// wrapBuilder lets a runner intercept case construction (pmCRIU needs the
-// pool before the workload starts).
-func wrapBuilder(b Builder, construct func(systems.DeployOpts) (*Case, error)) Builder {
-	return Builder{Meta: b.Meta, New: construct}
-}
-
-// writtenWords estimates how many durable words the run wrote — the
-// denominator for pmCRIU's coarse data-loss metric.
-func writtenWords(c *Case) int {
-	// Live allocation footprint approximates the data the system holds.
-	return c.D.Pool.LiveWords()
-}
-
-// WithDefaultsExported exposes the default-filling for diagnostics tooling.
-func (cfg RunConfig) WithDefaultsExported(m Meta) RunConfig { return cfg.withDefaults(m) }
-
-// DebugRunToFailure exposes runToFailure for diagnostics tooling.
-func DebugRunToFailure(b Builder, cfg RunConfig, opts systems.DeployOpts) (*Case, *vm.Trap, bool, error) {
-	return runToFailure(b, cfg, opts, nil)
 }

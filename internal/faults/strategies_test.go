@@ -13,6 +13,7 @@ func TestAllCasesRecoverWithBisect(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.ID, func(t *testing.T) {
+			t.Parallel()
 			cfg := RunConfig{}
 			cfg.Reactor = reactor.DefaultConfig()
 			cfg.Reactor.Bisect = true
@@ -31,6 +32,7 @@ func TestAllCasesRecoverWithBatch5(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.ID, func(t *testing.T) {
+			t.Parallel()
 			cfg := RunConfig{}
 			cfg.Reactor = reactor.DefaultConfig()
 			cfg.Reactor.Batch = 5
@@ -53,6 +55,7 @@ func TestAllCasesRecoverWithSingleVersion(t *testing.T) {
 	for _, b := range All() {
 		b := b
 		t.Run(b.ID, func(t *testing.T) {
+			t.Parallel()
 			cfg := RunConfig{MaxVersions: 1}
 			cfg.Reactor = reactor.DefaultConfig()
 			out, err := RunArthas(b, cfg)

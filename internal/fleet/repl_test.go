@@ -96,6 +96,58 @@ func TestFailoverPastMitigation(t *testing.T) {
 	}
 }
 
+// TestPromotedShardStaysWired: a promoted shard comes up through OpenImage,
+// on the replica's checkpoint log. Its telemetry and lineage must attach to
+// that log, not to one the reopen discards: ckpt.versions keeps counting and
+// the next incident on the shard names the writers of the faulting words.
+func TestPromotedShardStaysWired(t *testing.T) {
+	f := newReplFleet(t, 2, func(c *Config) {
+		c.ChaosMitigationFail = true
+		c.Provenance = true
+	})
+	hardFault := func(key int64) (int64, error) {
+		t.Helper()
+		if _, err := f.InjectFault(key, 3); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := f.Get(key); err == nil {
+			t.Fatal("first strike served")
+		}
+		return f.Get(key)
+	}
+	key := faultKeyFor(0, 2)
+	if err := f.Put(key, 777); err != nil {
+		t.Fatal(err)
+	}
+	// Mitigation exhausted (the drill fails it) → promotion.
+	if v, err := hardFault(key); err != nil || v != 777 {
+		t.Fatalf("get across failover = %d, %v", v, err)
+	}
+	if st := f.Stats()[0]; st.Promotions != 1 {
+		t.Fatalf("shard 0 was not promoted: %+v", st)
+	}
+
+	shard := f.shards[0]
+	counted, logged := shard.rec.CounterValue("ckpt.versions"), shard.inst.Log.TotalVersions()
+	if err := f.Put(key, 778); err != nil {
+		t.Fatal(err)
+	}
+	grew := shard.inst.Log.TotalVersions() - logged
+	if got := shard.rec.CounterValue("ckpt.versions") - counted; grew == 0 || got != int64(grew) {
+		t.Fatalf("put on the promoted shard: log grew %d versions, ckpt.versions moved %d", grew, got)
+	}
+
+	// A second hard fault, mitigated for real this time, on the promoted shard.
+	f.cfg.ChaosMitigationFail = false
+	if v, err := hardFault(key); err != nil || v != 778 {
+		t.Fatalf("get across mitigation on the promoted shard = %d, %v", v, err)
+	}
+	inc := f.Incident(0)
+	if inc == nil || len(inc.Lineage) == 0 {
+		t.Fatalf("incident on the promoted shard carries no lineage: %+v", inc)
+	}
+}
+
 // TestFailoverWithoutReplicaStillFails pins the no-regression contract: with
 // replicas disabled, the chaos-failed mitigation leaves the shard Failed
 // exactly as before the failover path existed.

@@ -1,5 +1,7 @@
 package systems
 
+import "arthas"
+
 // CCEH-like extendible hash table for PM.
 //
 // Hosts the f9 case: directory doubling modifies several pieces of
@@ -238,11 +240,11 @@ func CCEH() *System {
 }
 
 // CC wraps a CCEH deployment with typed operations.
-type CC struct{ *Deployment }
+type CC struct{ *arthas.Instance }
 
 // NewCC deploys the CCEH system.
-func NewCC(opts DeployOpts) (*CC, error) {
-	d, err := Deploy(CCEH(), opts)
+func NewCC(cfg arthas.Config) (*CC, error) {
+	d, err := Deploy(CCEH(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -250,7 +252,7 @@ func NewCC(opts DeployOpts) (*CC, error) {
 }
 
 // Insert adds a nonzero key.
-func (c *CC) Insert(k, v int64) error { return callErr(c.Deployment, "cc_insert", k, v) }
+func (c *CC) Insert(k, v int64) error { return callErr(c.Instance, "cc_insert", k, v) }
 
 // Get looks up k (-1 on miss).
 func (c *CC) Get(k int64) (int64, error) {

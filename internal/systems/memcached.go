@@ -1,5 +1,7 @@
 package systems
 
+import "arthas"
+
 // Memcached-like PM key-value cache.
 //
 // Mirrors the structures the paper's Memcached bugs live in: a chained
@@ -468,11 +470,11 @@ func Memcached() *System {
 }
 
 // MC wraps a Memcached deployment with typed operations.
-type MC struct{ *Deployment }
+type MC struct{ *arthas.Instance }
 
 // NewMC deploys the Memcached system.
-func NewMC(opts DeployOpts) (*MC, error) {
-	d, err := Deploy(Memcached(), opts)
+func NewMC(cfg arthas.Config) (*MC, error) {
+	d, err := Deploy(Memcached(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -480,7 +482,7 @@ func NewMC(opts DeployOpts) (*MC, error) {
 }
 
 // Set stores key k with an n-word value seeded from v.
-func (m *MC) Set(k, v, n int64) error { return callErr(m.Deployment, "mc_set", k, v, n) }
+func (m *MC) Set(k, v, n int64) error { return callErr(m.Instance, "mc_set", k, v, n) }
 
 // Get returns the value sum for k, or -1 on miss.
 func (m *MC) Get(k int64) (int64, error) {
@@ -492,7 +494,7 @@ func (m *MC) Get(k int64) (int64, error) {
 }
 
 // Delete removes k.
-func (m *MC) Delete(k int64) error { return callErr(m.Deployment, "mc_delete", k) }
+func (m *MC) Delete(k int64) error { return callErr(m.Instance, "mc_delete", k) }
 
 // Count returns the maintained item counter.
 func (m *MC) Count() (int64, error) {
@@ -501,11 +503,4 @@ func (m *MC) Count() (int64, error) {
 		return 0, trap
 	}
 	return v, nil
-}
-
-func callErr(d *Deployment, fn string, args ...int64) error {
-	if _, trap := d.Call(fn, args...); trap != nil {
-		return trap
-	}
-	return nil
 }

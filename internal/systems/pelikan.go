@@ -1,5 +1,7 @@
 package systems
 
+import "arthas"
+
 // Pelikan-like PM cache server.
 //
 // Hosts f10 (value length overflow: a large set wraps the slab item's
@@ -196,11 +198,11 @@ func Pelikan() *System {
 }
 
 // PK wraps a Pelikan deployment with typed operations.
-type PK struct{ *Deployment }
+type PK struct{ *arthas.Instance }
 
 // NewPK deploys the Pelikan system.
-func NewPK(opts DeployOpts) (*PK, error) {
-	d, err := Deploy(Pelikan(), opts)
+func NewPK(cfg arthas.Config) (*PK, error) {
+	d, err := Deploy(Pelikan(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -208,7 +210,7 @@ func NewPK(opts DeployOpts) (*PK, error) {
 }
 
 // Set stores an n-word value for k seeded from v.
-func (p *PK) Set(k, v, n int64) error { return callErr(p.Deployment, "pk_set", k, v, n) }
+func (p *PK) Set(k, v, n int64) error { return callErr(p.Instance, "pk_set", k, v, n) }
 
 // Get sums k's value words (-1 on miss).
 func (p *PK) Get(k int64) (int64, error) {

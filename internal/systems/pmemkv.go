@@ -1,5 +1,7 @@
 package systems
 
+import "arthas"
+
 // PMEMKV-like PM key-value database.
 //
 // Hosts the f12 case: delete unlinks the key from the index immediately
@@ -144,11 +146,11 @@ func PMEMKV() *System {
 }
 
 // KV wraps a PMEMKV deployment with typed operations.
-type KV struct{ *Deployment }
+type KV struct{ *arthas.Instance }
 
 // NewKV deploys the PMEMKV system.
-func NewKV(opts DeployOpts) (*KV, error) {
-	d, err := Deploy(PMEMKV(), opts)
+func NewKV(cfg arthas.Config) (*KV, error) {
+	d, err := Deploy(PMEMKV(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +158,7 @@ func NewKV(opts DeployOpts) (*KV, error) {
 }
 
 // Put stores (k, v).
-func (s *KV) Put(k, v int64) error { return callErr(s.Deployment, "kv_put", k, v) }
+func (s *KV) Put(k, v int64) error { return callErr(s.Instance, "kv_put", k, v) }
 
 // Get fetches k's value (-1 on miss).
 func (s *KV) Get(k int64) (int64, error) {
@@ -168,4 +170,4 @@ func (s *KV) Get(k int64) (int64, error) {
 }
 
 // Del removes k, scheduling the free on the async worker.
-func (s *KV) Del(k int64) error { return callErr(s.Deployment, "kv_del", k) }
+func (s *KV) Del(k int64) error { return callErr(s.Instance, "kv_del", k) }

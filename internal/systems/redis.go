@@ -1,5 +1,7 @@
 package systems
 
+import "arthas"
+
 // Redis-like PM store.
 //
 // Hosts the paper's three Redis cases: the listpack encoding bug that
@@ -337,11 +339,11 @@ func Redis() *System {
 }
 
 // RD wraps a Redis deployment with typed operations.
-type RD struct{ *Deployment }
+type RD struct{ *arthas.Instance }
 
 // NewRD deploys the Redis system.
-func NewRD(opts DeployOpts) (*RD, error) {
-	d, err := Deploy(Redis(), opts)
+func NewRD(cfg arthas.Config) (*RD, error) {
+	d, err := Deploy(Redis(), cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -349,7 +351,7 @@ func NewRD(opts DeployOpts) (*RD, error) {
 }
 
 // Set stores integer v at key k.
-func (r *RD) Set(k, v int64) error { return callErr(r.Deployment, "rd_set", k, v) }
+func (r *RD) Set(k, v int64) error { return callErr(r.Instance, "rd_set", k, v) }
 
 // Get fetches k's value (or listpack sum), -1 on miss.
 func (r *RD) Get(k int64) (int64, error) {

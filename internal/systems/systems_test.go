@@ -1,12 +1,14 @@
 package systems
 
 import (
+	"strings"
 	"testing"
 
+	"arthas"
 	"arthas/internal/vm"
 )
 
-func optsFull() DeployOpts { return DeployOpts{Checkpoint: true, Trace: true} }
+func optsFull() arthas.Config { return arthas.Config{} }
 
 // --- Memcached ---
 
@@ -83,7 +85,7 @@ func TestMCSurvivesRestart(t *testing.T) {
 func TestMCRefcountOverflowHang(t *testing.T) {
 	// The f1 chain: wrap the refcount, let the crawler free the linked
 	// item, reinsert into the same bucket, observe the lookup hang.
-	mc, _ := NewMC(DeployOpts{Checkpoint: true, Trace: true, StepLimit: 300_000})
+	mc, _ := NewMC(arthas.Config{StepLimit: 300_000})
 	// Same bucket: keys ≡ mod 64.
 	mc.Set(1, 10, 2)  // it1
 	mc.Set(65, 20, 2) // it2, chain head
@@ -317,7 +319,7 @@ func TestCCBasicOps(t *testing.T) {
 }
 
 func TestCCDirectoryDoublingCrashHang(t *testing.T) {
-	cc, _ := NewCC(DeployOpts{Checkpoint: true, Trace: true, StepLimit: 300_000})
+	cc, _ := NewCC(arthas.Config{StepLimit: 300_000})
 	// Fill until a doubling is imminent, then arm the crash.
 	var k int64
 	for k = 1; k <= 400; k++ {
@@ -370,7 +372,7 @@ func TestKVBasicOps(t *testing.T) {
 	}
 	// Draining the async worker frees the node.
 	live := len(kv.Log.LiveAllocs())
-	kv.M.DrainBackground(10_000)
+	kv.Machine.DrainBackground(10_000)
 	if len(kv.Log.LiveAllocs()) >= live {
 		t.Fatal("async free worker did not free the node")
 	}
@@ -459,39 +461,63 @@ func TestPKNullStatsSegfault(t *testing.T) {
 
 // --- harness ---
 
+// TestDeploymentVariants: the attachment combinations behind Table 8 and the
+// baselines, deployed the way the fault cases and experiments deploy them.
+// A put reaches exactly the layers the config keeps.
 func TestDeploymentVariants(t *testing.T) {
-	// Vanilla: no hooks, no analysis.
-	d, err := Deploy(PMEMKV(), DeployOpts{SkipAnalysis: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d.Res != nil || d.Log != nil || d.Tr != nil {
-		t.Fatal("vanilla deployment attached Arthas components")
-	}
-	if _, trap := d.Call("kv_put", 1, 2); trap != nil {
-		t.Fatal(trap)
-	}
-	// Checkpoint-only.
-	d2, _ := Deploy(PMEMKV(), DeployOpts{Checkpoint: true})
-	d2.Call("kv_put", 1, 2)
-	if d2.Log.TotalVersions() == 0 {
-		t.Fatal("checkpoint log empty after put")
-	}
-	// Trace-only.
-	d3, _ := Deploy(PMEMKV(), DeployOpts{Trace: true})
-	d3.Call("kv_put", 1, 2)
-	if d3.Tr.Len() == 0 {
-		t.Fatal("trace empty after put")
+	for _, v := range []struct {
+		name   string
+		detach arthas.Layers
+	}{
+		{"vanilla", arthas.AllLayers},
+		{"checkpoint-only", arthas.LayerAnalysis | arthas.LayerTrace},
+		{"instrumentation-only", arthas.LayerCheckpoint},
+		{"full", 0},
+	} {
+		t.Run(v.name, func(t *testing.T) {
+			d, err := Deploy(PMEMKV(), arthas.Config{Detach: v.detach})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, trap := d.Call("kv_put", 1, 2); trap != nil {
+				t.Fatal(trap)
+			}
+			kept := arthas.AllLayers &^ v.detach
+			if got, want := d.Analysis != nil, kept&arthas.LayerAnalysis != 0; got != want {
+				t.Errorf("analysis ran = %v, want %v", got, want)
+			}
+			if got, want := d.Log.TotalVersions() > 0, kept&arthas.LayerCheckpoint != 0; got != want {
+				t.Errorf("checkpoint log recorded the put = %v, want %v", got, want)
+			}
+			if got, want := d.Trace.Len() > 0, kept&arthas.LayerTrace != 0; got != want {
+				t.Errorf("trace recorded the put = %v, want %v", got, want)
+			}
+			if v, trap := d.Call("kv_get", 1); trap != nil || v != 2 {
+				t.Fatalf("kv_get(1) = %d %v, want 2", v, trap)
+			}
+		})
 	}
 }
 
 func TestRetInstrsHelper(t *testing.T) {
-	d, _ := Deploy(PMEMKV(), DeployOpts{SkipAnalysis: true})
+	d, _ := Deploy(PMEMKV(), arthas.Config{Detach: arthas.LayerAnalysis})
 	rets := d.RetInstrs("kv_get")
 	if len(rets) != 2 {
 		t.Fatalf("kv_get rets = %d, want 2", len(rets))
 	}
 	if d.RetInstrs("nope") != nil {
 		t.Fatal("unknown function returned rets")
+	}
+}
+
+func TestByName(t *testing.T) {
+	for _, sys := range All() {
+		got, err := ByName(sys.Name)
+		if err != nil || got.Source != sys.Source || got.InitFn != sys.InitFn {
+			t.Errorf("ByName(%q) = %+v, %v", sys.Name, got, err)
+		}
+	}
+	if _, err := ByName("leveldb"); err == nil || !strings.Contains(err.Error(), `"leveldb"`) {
+		t.Fatalf("unknown system: err = %v, want one naming it", err)
 	}
 }

@@ -1,4 +1,4 @@
-package arthas
+package arthas_test
 
 import (
 	"bufio"

@@ -1,4 +1,4 @@
-package arthas
+package arthas_test
 
 // Benchmarks guarding the zero-cost-disabled observability claim: the same
 // Figure-12-style workload (Memcached, YCSB-A) runs with no sink, with the
@@ -12,6 +12,7 @@ package arthas
 import (
 	"testing"
 
+	"arthas"
 	"arthas/internal/obs"
 	"arthas/internal/systems"
 	"arthas/internal/workload"
@@ -25,9 +26,7 @@ func benchObsWorkload(b *testing.B, sink obs.Sink) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		d, err := systems.Deploy(sys, systems.DeployOpts{
-			Checkpoint: true, Trace: true, StepLimit: 1 << 40, Obs: sink,
-		})
+		d, err := systems.Deploy(sys, arthas.Config{StepLimit: 1 << 40, Observer: sink})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -2,19 +2,23 @@ package arthas_test
 
 // Telemetry is published per request, not per word (docs/OBSERVABILITY.md,
 // "Publication granularity"). These tests pin what that must not change:
-// through both deployment stacks, for every program we ship, the exported
-// counters equal the layers' own tallies at every call boundary — across
-// restarts, crashes, mitigation and observer swaps — and what a request
-// costs in sink calls does not depend on how much work the request does.
+// however an instance came up (New, systems.Deploy, OpenImage) and whichever
+// layers it attaches, for every program we ship, the exported counters equal
+// the layers' own tallies at every call boundary — across restarts, crashes,
+// mitigation and observer swaps — and what a request costs in sink calls
+// does not depend on how much work the request does.
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"arthas"
 	"arthas/internal/checkpoint"
 	"arthas/internal/fleet"
+	"arthas/internal/ir"
 	"arthas/internal/obs"
 	"arthas/internal/obs/obstest"
 	"arthas/internal/pmem"
@@ -23,8 +27,7 @@ import (
 	"arthas/internal/trace"
 )
 
-// obsStack is what the two deployment stacks have in common, as the totals
-// test needs it.
+// obsStack is an instance as the totals tests drive it.
 type obsStack struct {
 	call    func(fn string, args ...int64) (int64, *arthas.Trap)
 	restart func() *arthas.Trap
@@ -32,8 +35,15 @@ type obsStack struct {
 	pool    *pmem.Pool
 	log     *checkpoint.Log
 	tr      *trace.Trace
-	prov    *provenance.Index
-	inst    *arthas.Instance // nil on the systems stack
+	prov    *provenance.Index // nil without Config.Provenance
+	inst    *arthas.Instance
+}
+
+func stackOf(inst *arthas.Instance) *obsStack {
+	return &obsStack{
+		call: inst.Call, restart: inst.Restart, setObs: inst.SetObserver,
+		pool: inst.Pool, log: inst.Log, tr: inst.Trace, prov: inst.Prov, inst: inst,
+	}
 }
 
 // layerTally is the layers' own account of their activity.
@@ -44,10 +54,14 @@ type layerTally struct {
 }
 
 func (s *obsStack) tally() layerTally {
-	return layerTally{
+	t := layerTally{
 		pmem: s.pool.Stats(), events: s.tr.Len(), reads: s.tr.Reads(),
-		versions: s.log.TotalVersions(), lineageWords: s.prov.Stats().PersistedWords,
+		versions: s.log.TotalVersions(),
 	}
+	if s.prov != nil {
+		t.lineageWords = s.prov.Stats().PersistedWords
+	}
+	return t
 }
 
 // checkTotals asserts rec's counters equal what the layers tallied since
@@ -145,45 +159,63 @@ func obsPrograms(t *testing.T) []struct {
 	}
 }
 
+// obsStacks is every way an instance comes up, and every attachment
+// combination the experiments and baselines use (Table 8, pmCRIU, ArCkpt,
+// -exp optimize). cfg is completed per program with RecoverFn and Observer.
+var obsStacks = []struct {
+	name string
+	cfg  arthas.Config
+	new  func(name, source string, cfg arthas.Config) (*arthas.Instance, error)
+}{
+	{"Instance", arthas.Config{Provenance: true}, arthas.New},
+	{"Deployment", arthas.Config{Provenance: true}, deployStack},
+	{"OpenImage", arthas.Config{Provenance: true}, reopenStack},
+	{"bare", arthas.Config{Detach: arthas.AllLayers}, arthas.New},
+	{"checkpoint-only", arthas.Config{Detach: arthas.LayerAnalysis | arthas.LayerTrace}, arthas.New},
+	{"trace-only", arthas.Config{Detach: arthas.LayerCheckpoint}, arthas.New},
+	{"provenance-only", arthas.Config{Detach: arthas.LayerCheckpoint | arthas.LayerTrace, Provenance: true}, arthas.New},
+}
+
+// deployStack is the path the fault cases and the overhead experiments take.
+func deployStack(name, source string, cfg arthas.Config) (*arthas.Instance, error) {
+	return systems.Deploy(&systems.System{Name: name, Source: source, PoolWords: 1 << 16, RecoverFn: cfg.RecoverFn}, cfg)
+}
+
+// reopenStack is the path a promoted fleet shard and `arthas-run -poolfile`
+// take: an image saved by one instance, reopened under cfg.
+func reopenStack(name, source string, cfg arthas.Config) (*arthas.Instance, error) {
+	first, err := arthas.New(name, source, arthas.Config{RecoverFn: cfg.RecoverFn})
+	if err != nil {
+		return nil, err
+	}
+	var img bytes.Buffer
+	if err := first.SaveImage(&img); err != nil {
+		return nil, err
+	}
+	return arthas.OpenImage(name, source, cfg, &img)
+}
+
 func newInstanceStack(t *testing.T, name, source, recoverFn string, sink obs.Sink) *obsStack {
 	t.Helper()
 	inst, err := arthas.New(name, source, arthas.Config{RecoverFn: recoverFn, Provenance: true, Observer: sink})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &obsStack{
-		call: inst.Call, restart: inst.Restart, setObs: inst.SetObserver,
-		pool: inst.Pool, log: inst.Log, tr: inst.Trace, prov: inst.Prov, inst: inst,
-	}
-}
-
-func newDeploymentStack(t *testing.T, name, source, recoverFn string, sink obs.Sink) *obsStack {
-	t.Helper()
-	d, err := systems.Deploy(
-		&systems.System{Name: name, Source: source, PoolWords: 1 << 16, RecoverFn: recoverFn},
-		systems.DeployOpts{Checkpoint: true, Trace: true, Provenance: true, Obs: sink})
-	if err != nil {
-		t.Fatal(err)
-	}
-	return &obsStack{
-		call: d.Call, restart: d.Restart, setObs: d.SetObs,
-		pool: d.Pool, log: d.Log, tr: d.Tr, prov: d.Prov,
-	}
+	return stackOf(inst)
 }
 
 func TestObsTotalsEqualLayerTallies(t *testing.T) {
-	stacks := []struct {
-		name string
-		new  func(t *testing.T, name, source, recoverFn string, sink obs.Sink) *obsStack
-	}{
-		{"Instance", newInstanceStack},
-		{"Deployment", newDeploymentStack},
-	}
-	for _, stack := range stacks {
+	for _, stack := range obsStacks {
 		for _, prog := range obsPrograms(t) {
 			t.Run(stack.name+"/"+prog.name, func(t *testing.T) {
 				recA := obs.NewRecorder()
-				s := stack.new(t, prog.name, prog.source, prog.recoverFn, recA)
+				cfg := stack.cfg
+				cfg.RecoverFn, cfg.Observer = prog.recoverFn, recA
+				inst, err := stack.new(prog.name, prog.source, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				s := stackOf(inst)
 				var zero layerTally
 				run := func(rec *obs.Recorder, base layerTally, calls []obsCall) {
 					t.Helper()
@@ -195,6 +227,7 @@ func TestObsTotalsEqualLayerTallies(t *testing.T) {
 					}
 				}
 				run(recA, zero, prog.calls)
+				checkAttachment(t, inst, recA, cfg)
 
 				if trap := s.restart(); trap != nil {
 					t.Fatalf("restart: %v", trap)
@@ -242,6 +275,74 @@ func TestObsTotalsEqualLayerTallies(t *testing.T) {
 					t.Errorf("A heard %d loads after it was swapped out", got-frozenA)
 				}
 			})
+		}
+	}
+}
+
+// checkAttachment asserts, after a workload that stored, persisted and
+// allocated, that every layer cfg keeps heard it and every layer cfg
+// detaches is unwired, empty and silent — and that the operations which
+// need a detached layer say so instead of running without it.
+func checkAttachment(t *testing.T, inst *arthas.Instance, rec *obs.Recorder, cfg arthas.Config) {
+	t.Helper()
+	kept := func(l arthas.Layers) bool { return cfg.Detach&l == 0 }
+	guids := false
+	for _, f := range inst.Module.Funcs {
+		f.Instrs(func(in *ir.Instr) { guids = guids || in.GUID != 0 })
+	}
+	for _, c := range []struct {
+		what      string
+		got, want bool
+	}{
+		{"analysis ran", inst.Analysis != nil, kept(arthas.LayerAnalysis)},
+		{"module carries GUIDs", guids, kept(arthas.LayerAnalysis)},
+		{"pool hooks installed", inst.Pool.HooksInstalled(), kept(arthas.LayerCheckpoint) || cfg.Provenance},
+		{"checkpoint log has versions", inst.Log.TotalVersions() > 0, kept(arthas.LayerCheckpoint)},
+		{"ckpt.versions counted", rec.CounterValue("ckpt.versions") > 0, kept(arthas.LayerCheckpoint)},
+		{"machine has a trace sink", inst.Machine.TraceSink != nil, kept(arthas.LayerTrace)},
+		{"trace has events", inst.Trace.Len() > 0, kept(arthas.LayerTrace) && kept(arthas.LayerAnalysis)},
+		{"trace.events counted", rec.CounterValue("trace.events") > 0, kept(arthas.LayerTrace) && kept(arthas.LayerAnalysis)},
+		{"lineage stamped", inst.Prov != nil && inst.Prov.Stats().PersistOps > 0, cfg.Provenance},
+		{"prov.lineage_records counted", rec.CounterValue("prov.lineage_records") > 0, cfg.Provenance},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s = %v, want %v", c.what, c.got, c.want)
+		}
+	}
+	if cfg.Provenance {
+		// The detector resolves the last writer of a word the workload persisted.
+		resolved := false
+		for _, e := range inst.Log.Entries() {
+			if _, ok := inst.Detector.Lineage(e.Addr); ok {
+				resolved = true
+				break
+			}
+		}
+		if kept(arthas.LayerCheckpoint) && !resolved {
+			t.Error("Detector.Lineage resolves no checkpointed word")
+		}
+	}
+
+	// Mitigation needs all three layers, a full image the log and the trace:
+	// without them they name what is missing instead of running.
+	names := func(err error, layers arthas.Layers) bool {
+		return err != nil && strings.Contains(err.Error(), layers.String())
+	}
+	reexec := func() *arthas.Trap { return nil }
+	if missing := cfg.Detach & arthas.AllLayers; missing != 0 {
+		inst.Observe(&arthas.Trap{Kind: arthas.TrapAssert})
+		_, err1 := inst.Mitigate(reexec)
+		_, err2 := inst.MitigateCall("nope")
+		_, err3 := inst.MitigateWithFaults(nil, reexec)
+		for _, err := range []error{err1, err2, err3} {
+			if !names(err, missing) {
+				t.Errorf("mitigation without %q: err = %v", missing, err)
+			}
+		}
+	}
+	if missing := cfg.Detach & (arthas.LayerCheckpoint | arthas.LayerTrace); missing != 0 {
+		if err := inst.SaveImage(&bytes.Buffer{}); !names(err, missing) {
+			t.Errorf("SaveImage without %q: err = %v", missing, err)
 		}
 	}
 }
