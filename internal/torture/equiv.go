@@ -1,14 +1,11 @@
 package torture
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"slices"
 
-	"arthas"
 	"arthas/internal/opt"
-	"arthas/internal/pmem"
 )
 
 // Durability-equivalence sweep: the torture-grade proof obligation of the
@@ -75,190 +72,114 @@ func (r *EquivReport) JSON() ([]byte, error) {
 // program and proves recovery equivalence against the unoptimized build.
 // cfg.Optimize is ignored (both builds always run); cfg.FlightEvents is
 // forced to zero so pool images carry no telemetry tail and compare by
-// durable content alone.
+// durable content alone; cfg.Probe is not run, since equivalence is about
+// what recovery alone makes durable.
 func RunEquivalence(cfg Config) (*EquivReport, error) {
-	cfg = cfg.withDefaults()
-	calls, err := ParseScript(cfg.Script)
+	optimized, err := parse(cfg)
 	if err != nil {
 		return nil, err
 	}
+	// Depth 1: equivalence is a property of one crash image at a time.
+	optimized.cfg.FlightEvents, optimized.cfg.Depth, optimized.cfg.Optimize, optimized.probe = 0, 1, true, nil
+	unoptimized := *optimized
+	unoptimized.cfg.Optimize = false
 
-	rep := &EquivReport{
-		Schema:  EquivSchemaVersion,
-		Program: cfg.Name,
-		Script:  cfg.Script,
-		Seed:    cfg.Seed,
-	}
-
-	// Static stats: what the pass does to this module.
-	inst, err := arthas.New(cfg.Name, cfg.Source, eqConfig(cfg, true))
+	// Dynamic event universes for both builds; their crash-free final
+	// images must agree word for word.
+	optRun, err := newTrial(optimized, optimized.cfg.instance())
 	if err != nil {
 		return nil, fmt.Errorf("torture: optimized deploy: %w", err)
 	}
-	rep.OptStats = inst.OptStats
-
-	// Dynamic event universes for both builds.
-	optEvents, err := eqEnumerate(cfg, calls, true)
+	optEvents, err := enumerate(optRun)
 	if err != nil {
 		return nil, fmt.Errorf("torture: optimized baseline run: %w", err)
 	}
-	baseEvents, err := eqEnumerate(cfg, calls, false)
+	baseRun, baseEvents, err := baseline(&unoptimized)
 	if err != nil {
 		return nil, fmt.Errorf("torture: unoptimized baseline run: %w", err)
 	}
-	rep.EventsOptimized = len(optEvents)
-	rep.EventsBaseline = len(baseEvents)
 
-	// Crash-point schedules over the optimized build's universe. Depth 1:
-	// equivalence is a property of one crash image at a time.
-	schedCfg := cfg
-	schedCfg.Depth = 1
-	schedules := buildSchedules(schedCfg, optEvents)
-	rep.Trials = len(schedules)
-
-	for i, sched := range schedules {
-		spec := sched[0]
-		image, fired, err := crashImage(cfg, calls, spec)
-		if err != nil {
-			rep.Mismatches = append(rep.Mismatches, EquivMismatch{
-				Trial: i, Event: spec.Event, Keep: spec.Keep,
-				Detail: "optimized run: " + err.Error(),
-			})
-			continue
-		}
-		if !fired {
-			rep.Skipped++
-			continue
-		}
-		optPool, optErr := recoverImage(cfg, true, image)
-		basePool, baseErr := recoverImage(cfg, false, image)
+	schedules := buildSchedules(optimized.cfg, optEvents)
+	rep := &EquivReport{
+		Schema:          EquivSchemaVersion,
+		Program:         optimized.cfg.Name,
+		Script:          optimized.cfg.Script,
+		Seed:            optimized.cfg.Seed,
+		EventsBaseline:  len(baseEvents),
+		EventsOptimized: len(optEvents),
+		Trials:          len(schedules),
+		FinalMatch:      slices.Equal(optRun.inst.Pool.DurableImage(), baseRun.inst.Pool.DurableImage()),
+		OptStats:        optRun.inst.OptStats,
+	}
+	details := runTrials(optimized.cfg.Workers, len(schedules), func(i int) *string {
+		return equivTrial(optimized, &unoptimized, schedules[i][0])
+	})
+	for i, d := range details {
 		switch {
-		case optErr != nil || baseErr != nil:
-			rep.Mismatches = append(rep.Mismatches, EquivMismatch{
-				Trial: i, Event: spec.Event, Keep: spec.Keep,
-				Detail: fmt.Sprintf("recovery failed (opt: %v, base: %v)", optErr, baseErr),
-			})
-		case !slices.Equal(optPool, basePool):
-			rep.Mismatches = append(rep.Mismatches, EquivMismatch{
-				Trial: i, Event: spec.Event, Keep: spec.Keep,
-				Detail: fmt.Sprintf("recovered durable images differ at word %d",
-					firstDiff(optPool, basePool)),
-			})
-		default:
+		case d == nil:
+			rep.Skipped++
+		case *d == "":
 			rep.Matched++
+		default:
+			spec := schedules[i][0]
+			rep.Mismatches = append(rep.Mismatches, EquivMismatch{
+				Trial: i, Event: spec.Event, Keep: spec.Keep, Detail: *d,
+			})
 		}
 	}
-
-	// Crash-free check: both builds run the workload to completion and the
-	// durable images must agree word for word.
-	optFinal, err1 := finalPool(cfg, calls, true)
-	baseFinal, err2 := finalPool(cfg, calls, false)
-	rep.FinalMatch = err1 == nil && err2 == nil && slices.Equal(optFinal, baseFinal)
-
 	return rep, nil
 }
 
-// eqConfig builds the per-stack instance configuration. FlightEvents stays
-// zero: the flight recorder embeds telemetry in saved pools, which would
-// make byte comparison reflect observation history instead of durability.
-func eqConfig(cfg Config, optimize bool) arthas.Config {
-	return arthas.Config{
-		PoolWords:   cfg.PoolWords,
-		MaxVersions: cfg.MaxVersions,
-		StepLimit:   cfg.StepLimit,
-		RecoverFn:   cfg.RecoverFn,
-		Optimize:    optimize,
+// equivTrial runs the optimized build until spec's event fires, latches the
+// power failure, recovers the crash image under both builds (with detector
+// → reactor healing if recovery traps), and compares the recovered durable
+// images. It returns nil when the workload completed without reaching the
+// event, "" when the recovered images match, and the mismatch otherwise.
+func equivTrial(optimized, unoptimized *sweep, spec CrashSpec) *string {
+	detail := ""
+	t, _ := newTrial(optimized, optimized.cfg.instance())
+	if t.inst == nil {
+		detail = "optimized run: " + t.violations[0]
+		return &detail
 	}
-}
-
-// eqEnumerate counts durability events in one uninjected run of one build.
-func eqEnumerate(cfg Config, calls []Call, optimize bool) ([]EventInfo, error) {
-	inst, err := arthas.New(cfg.Name, cfg.Source, eqConfig(cfg, optimize))
-	if err != nil {
-		return nil, err
-	}
-	var events []EventInfo
-	inst.Pool.SetCrashFunc(func(ev pmem.DurEvent) (int, bool) {
-		events = append(events, EventInfo{Kind: ev.Kind.String(), Addr: ev.Addr, Words: ev.Words})
-		return ev.Words, false
-	})
-	for _, c := range calls {
-		if _, trap := inst.Call(c.Fn, c.Args...); trap != nil {
-			return nil, fmt.Errorf("call %q trapped with no injection: %v", c, trap)
-		}
-	}
-	return events, nil
-}
-
-// crashImage runs the optimized build until spec's event fires, latches the
-// power failure, and returns the serialized durable image. fired=false means
-// the workload completed without reaching the event.
-func crashImage(cfg Config, calls []Call, spec CrashSpec) ([]byte, bool, error) {
-	inst, err := arthas.New(cfg.Name, cfg.Source, eqConfig(cfg, true))
-	if err != nil {
-		return nil, false, err
-	}
-	count := 0
-	inst.Pool.SetCrashFunc(func(ev pmem.DurEvent) (int, bool) {
-		i := count
-		count++
-		if i != spec.Event {
-			return ev.Words, false
-		}
-		keep := spec.Keep
-		if keep < 0 || keep > ev.Words {
-			keep = ev.Words
-		}
-		return keep, true
-	})
-	for _, c := range calls {
-		inst.Call(c.Fn, c.Args...)
-		if inst.Pool.CrashLatched() {
+	t.arm(spec)
+	for _, c := range t.calls {
+		t.inst.Call(c.Fn, c.Args...)
+		if t.inst.Pool.CrashLatched() {
 			break
 		}
 	}
-	if !inst.Pool.CrashLatched() {
-		return nil, false, nil
+	if !t.inst.Pool.CrashLatched() {
+		return nil
 	}
-	inst.Pool.SetCrashFunc(nil)
-	inst.Pool.Crash()
-	inst.Pool.ResetCrashLatch()
-	var buf bytes.Buffer
-	if err := inst.SaveImage(&buf); err != nil {
-		return nil, true, fmt.Errorf("save: %w", err)
+	image, ok := t.powerFail()
+	if !ok {
+		detail = "optimized run: " + t.violations[0]
+		return &detail
 	}
-	return buf.Bytes(), true, nil
+	optPool, optErr := recoverImage(optimized, image)
+	basePool, baseErr := recoverImage(unoptimized, image)
+	switch {
+	case optErr != "" || baseErr != "":
+		detail = fmt.Sprintf("recovery failed (opt: %v, base: %v)", optErr, baseErr)
+	case !slices.Equal(optPool, basePool):
+		detail = fmt.Sprintf("recovered durable images differ at word %d", firstDiff(optPool, basePool))
+	}
+	return &detail
 }
 
 // recoverImage reopens one crash image under one build, runs recovery (with
 // detector → reactor healing if it traps), and returns the recovered
-// durable word image.
-func recoverImage(cfg Config, optimize bool, image []byte) ([]uint64, error) {
-	inst, err := arthas.OpenImage(cfg.Name, cfg.Source, eqConfig(cfg, optimize), bytes.NewReader(image))
-	if err != nil {
-		return nil, fmt.Errorf("reopen: %w", err)
+// durable word image, or the violation that stopped it.
+func recoverImage(build *sweep, image []byte) ([]uint64, string) {
+	t := &trial{sweep: build, acfg: build.cfg.instance()}
+	if t.recover(image) {
+		return t.inst.Pool.DurableImage(), ""
 	}
-	if trap := inst.Restart(); trap != nil {
-		if ok, _, v := heal(inst, trap, nil); !ok {
-			return nil, fmt.Errorf("recovery unhealed: %s", v)
-		}
+	if t.inst == nil { // the image did not reopen
+		return nil, t.violations[0]
 	}
-	return inst.Pool.DurableImage(), nil
-}
-
-// finalPool runs the full workload crash-free under one build and returns
-// the final durable word image.
-func finalPool(cfg Config, calls []Call, optimize bool) ([]uint64, error) {
-	inst, err := arthas.New(cfg.Name, cfg.Source, eqConfig(cfg, optimize))
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range calls {
-		if _, trap := inst.Call(c.Fn, c.Args...); trap != nil {
-			return nil, fmt.Errorf("call %q trapped: %v", c, trap)
-		}
-	}
-	return inst.Pool.DurableImage(), nil
+	return nil, "recovery unhealed: " + t.violations[0]
 }
 
 // firstDiff returns the first index where a and b disagree (or the shorter

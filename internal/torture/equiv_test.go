@@ -117,7 +117,8 @@ func TestOptimizedSweepWorkerInvariant(t *testing.T) {
 	}
 }
 
-// TestEquivalenceDeterministic: same seed, same report bytes.
+// TestEquivalenceDeterministic: same seed, same report bytes, whether the
+// crash points run on one worker or on the shared pool.
 func TestEquivalenceDeterministic(t *testing.T) {
 	cfg := Config{
 		Name:      "native",
@@ -127,11 +128,13 @@ func TestEquivalenceDeterministic(t *testing.T) {
 		Torn:      true,
 		Seed:      11,
 		Points:    30,
+		Workers:   1,
 	}
 	a, err := RunEquivalence(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	cfg.Workers = 4
 	b, err := RunEquivalence(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -139,6 +142,6 @@ func TestEquivalenceDeterministic(t *testing.T) {
 	ja, _ := a.JSON()
 	jb, _ := b.JSON()
 	if !bytes.Equal(ja, jb) {
-		t.Fatalf("equivalence report not deterministic:\n%s\nvs\n%s", ja, jb)
+		t.Fatalf("equivalence report differs between 1 and 4 workers:\n%s\nvs\n%s", ja, jb)
 	}
 }

@@ -1,16 +1,14 @@
 package torture
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
-	"sort"
 	"strings"
-	"sync"
 
-	"arthas"
 	"arthas/internal/pmem"
 )
 
@@ -39,19 +37,10 @@ func (s MediaSpec) String() string {
 	return fmt.Sprintf("e%d:%s+%d", s.Event, s.Kind, s.Word)
 }
 
-// mediaKindOf maps the spec's kind name to the pmem fault kind.
-func mediaKindOf(name string) (pmem.MediaFaultKind, error) {
-	switch name {
-	case pmem.MediaBitFlip.String():
-		return pmem.MediaBitFlip, nil
-	case pmem.MediaStuckWord.String():
-		return pmem.MediaStuckWord, nil
-	case pmem.MediaStrayWrite.String():
-		return pmem.MediaStrayWrite, nil
-	case pmem.MediaBlockPoison.String():
-		return pmem.MediaBlockPoison, nil
-	}
-	return 0, fmt.Errorf("torture: unknown media fault kind %q", name)
+// mediaKinds are the fault kinds the sweep cycles through.
+var mediaKinds = []pmem.MediaFaultKind{
+	pmem.MediaBitFlip, pmem.MediaStuckWord,
+	pmem.MediaStrayWrite, pmem.MediaBlockPoison,
 }
 
 // MediaTrialResult is the outcome of one media-fault schedule.
@@ -96,74 +85,33 @@ func (r *MediaReport) JSON() ([]byte, error) {
 // image is saved there as <name>-media-NNN.img for offline tooling
 // (arthas-inspect scrub) and the CI media job.
 func RunMedia(cfg Config, imageDir string) (*MediaReport, error) {
-	cfg = cfg.withDefaults()
-	calls, err := ParseScript(cfg.Script)
+	sw, err := parse(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var probe *Call
-	if cfg.Probe != "" {
-		pc, err := ParseScript(cfg.Probe)
-		if err != nil {
-			return nil, err
-		}
-		if len(pc) != 1 {
-			return nil, fmt.Errorf("torture: probe must be a single call, got %d", len(pc))
-		}
-		probe = &pc[0]
-	}
-	events, err := enumerate(cfg, calls)
+	_, events, err := baseline(sw)
 	if err != nil {
 		return nil, fmt.Errorf("torture: baseline run: %w", err)
 	}
-	specs := buildMediaSchedules(cfg, events)
+	specs := buildMediaSchedules(sw.cfg, events)
 	if imageDir != "" {
 		if err := os.MkdirAll(imageDir, 0o755); err != nil {
 			return nil, fmt.Errorf("torture: image dir: %w", err)
 		}
 	}
-
 	rep := &MediaReport{
-		Program: cfg.Name,
-		Script:  cfg.Script,
-		Seed:    cfg.Seed,
+		Program: sw.cfg.Name,
+		Script:  sw.cfg.Script,
+		Seed:    sw.cfg.Seed,
 		Events:  len(events),
 		Trials:  len(specs),
-		Results: make([]MediaTrialResult, len(specs)),
+		Results: runTrials(sw.cfg.Workers, len(specs), func(i int) MediaTrialResult {
+			res := mediaTrial(sw, specs[i], i, imageDir)
+			res.Trial = i
+			return res
+		}),
 	}
-	runOne := func(i int) {
-		res := runMediaTrial(cfg, calls, probe, specs[i], i, imageDir)
-		res.Trial = i
-		rep.Results[i] = res
-	}
-	if cfg.Workers > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, cfg.Workers)
-		for i := range specs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				runOne(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range specs {
-			runOne(i)
-		}
-	}
-	for _, res := range rep.Results {
-		switch res.Outcome {
-		case "clean":
-			rep.Clean++
-		case "healed":
-			rep.Healed++
-		default:
-			rep.Violated++
-		}
-	}
+	rep.Clean, rep.Healed, rep.Violated = tally(rep.Results, func(r MediaTrialResult) string { return r.Outcome })
 	return rep, nil
 }
 
@@ -173,13 +121,9 @@ func RunMedia(cfg Config, imageDir string) (*MediaReport, error) {
 // sampled down to cfg.Points (order-preserving).
 func buildMediaSchedules(cfg Config, events []EventInfo) []MediaSpec {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	kinds := []pmem.MediaFaultKind{
-		pmem.MediaBitFlip, pmem.MediaStuckWord,
-		pmem.MediaStrayWrite, pmem.MediaBlockPoison,
-	}
 	specs := make([]MediaSpec, 0, len(events))
 	for i, ev := range events {
-		k := kinds[i%len(kinds)]
+		k := mediaKinds[i%len(mediaKinds)]
 		sp := MediaSpec{Event: i, Kind: k.String()}
 		if ev.Words > 1 {
 			sp.Word = rng.Intn(ev.Words)
@@ -194,167 +138,92 @@ func buildMediaSchedules(cfg Config, events []EventInfo) []MediaSpec {
 		}
 		specs = append(specs, sp)
 	}
-	if cfg.Points > 0 && len(specs) > cfg.Points {
-		idx := rng.Perm(len(specs))[:cfg.Points]
-		sort.Ints(idx)
-		sampled := make([]MediaSpec, 0, cfg.Points)
-		for _, i := range idx {
-			sampled = append(sampled, specs[i])
-		}
-		specs = sampled
-	}
-	return specs
+	return sample(rng, specs, cfg.Points)
 }
 
-// runMediaTrial runs one media-fault schedule in a fresh deployment. The
-// fault is injected between workload calls, right after the spec's event
-// fires — modeling media that went bad under a completed write-back. The
-// remaining workload may trap media-corrupt (in-process heal via the
-// reactor's scrub-then-retry); whatever corruption the workload never
-// touched is then healed by the reopen path, and the final state must pass
-// every structural and media invariant.
-func runMediaTrial(cfg Config, calls []Call, probe *Call, spec MediaSpec, trial int, imageDir string) MediaTrialResult {
-	res := MediaTrialResult{Spec: spec, Outcome: "clean"}
-	var violations []string
-	healedAny := false
-
-	kind, err := mediaKindOf(spec.Kind)
-	if err != nil {
-		res.Outcome = "violated"
-		res.Violations = []string{err.Error()}
-		return res
+// mediaTrial runs one media-fault schedule on a fresh instance. Its
+// injector is a passive crash hook that spots where the spec's event
+// landed; the fault goes in between workload calls, right after that event
+// — modeling media that went bad under a completed write-back. The rest of
+// the workload may trap media-corrupt (in-process heal via the reactor's
+// scrub-then-retry). The final oracle reopens the image, so whatever
+// corruption the workload never touched must be healed (or fenced) by
+// OpenImage's scrubber, and the reopened state must pass every structural
+// and media invariant.
+func mediaTrial(sw *sweep, spec MediaSpec, trial int, imageDir string) MediaTrialResult {
+	res := MediaTrialResult{Spec: spec}
+	// spec comes from buildMediaSchedules, so its kind is one of mediaKinds.
+	fault := pmem.MediaFault{Bits: spec.Bits, Value: spec.Value, Seed: spec.Seed}
+	for _, k := range mediaKinds {
+		if k.String() == spec.Kind {
+			fault.Kind = k
+		}
 	}
-	inst, err := arthas.New(cfg.Name, cfg.Source, arthasConfig(cfg))
-	if err != nil {
-		res.Outcome = "violated"
-		res.Violations = []string{"deploy-failed: " + err.Error()}
-		return res
-	}
-
-	// Counting hook: never crashes, only spots the target event and records
-	// where its range landed.
-	var target uint64
+	t, _ := newTrial(sw, sw.cfg.instance())
 	pending := false
-	count := 0
-	inst.Pool.SetCrashFunc(func(ev pmem.DurEvent) (int, bool) {
-		if count == spec.Event {
+	t.watch = crashHook(func(i int, ev pmem.DurEvent) (int, bool) {
+		if i == spec.Event {
 			off := 0
 			if ev.Words > 0 {
 				off = spec.Word % ev.Words
 			}
-			target = ev.Addr + uint64(off)
+			fault.Addr = ev.Addr + uint64(off)
 			pending = true
 		}
-		count++
 		return ev.Words, false
 	})
-
-	injected := false
-	for ci := 0; ci < len(calls); ci++ {
-		c := calls[ci]
-		_, trap := inst.Call(c.Fn, c.Args...)
-		if trap != nil {
-			ok, mrep, v := heal(inst, trap, &c)
-			if mrep != nil {
-				res.MitigationAttempts += mrep.Attempts
-				res.ScrubRepairs += mrep.ScrubRepairs
-			}
-			if !ok {
-				violations = append(violations, v)
-				return finishMedia(res, violations, healedAny)
-			}
-			healedAny = true
+	t.afterCall = func() bool {
+		if !pending || res.Inject != "" {
+			return true
 		}
-		if pending && !injected {
-			f := pmem.MediaFault{
-				Kind: kind, Addr: target,
-				Bits: spec.Bits, Value: spec.Value, Seed: spec.Seed,
-			}
-			r, err := inst.Pool.InjectMediaFault(f)
-			if err != nil {
-				violations = append(violations, "inject-failed: "+err.Error())
-				return finishMedia(res, violations, healedAny)
-			}
-			injected = true
-			res.Inject = fmt.Sprintf("%s@%#x+%d", spec.Kind, r.Addr, r.Words)
-			if imageDir != "" {
-				saveTrialImage(inst, imageDir, cfg.Name, trial, &violations)
-			}
+		r, err := t.inst.Pool.InjectMediaFault(fault)
+		if err != nil {
+			return t.fail("inject-failed: " + err.Error())
 		}
-	}
-
-	if probe != nil {
-		if _, trap := inst.Call(probe.Fn, probe.Args...); trap != nil {
-			ok, mrep, v := heal(inst, trap, probe)
-			if mrep != nil {
-				res.MitigationAttempts += mrep.Attempts
-				res.ScrubRepairs += mrep.ScrubRepairs
-			}
-			if !ok {
-				violations = append(violations, v)
-				return finishMedia(res, violations, healedAny)
-			}
-			healedAny = true
+		res.Inject = fmt.Sprintf("%s@%#x+%d", spec.Kind, r.Addr, r.Words)
+		if imageDir != "" {
+			saveTrialImage(t, imageDir, trial)
 		}
+		return true
 	}
-
-	// The reopen path: whatever corruption the workload never read travels
-	// in the image and must be healed (or fenced) by OpenImage's scrubber.
-	final, vs := reopen(cfg, inst)
-	violations = append(violations, vs...)
-	if final == nil {
-		return finishMedia(res, violations, healedAny)
-	}
-	if final.LastScrub != nil {
-		res.OpenHealed = true
-		res.Quarantined = final.LastScrub.Quarantined
-		if !final.LastScrub.Healthy() {
-			violations = append(violations, "open-scrub-unhealthy: "+final.LastScrub.String())
+	if t.run(nil) && t.reopen() {
+		if s := t.inst.LastScrub; s != nil {
+			res.OpenHealed = true
+			res.Quarantined = s.Quarantined
+			if !s.Healthy() {
+				t.fail("open-scrub-unhealthy: " + s.String())
+			}
+			t.healed = true
 		}
-		healedAny = true
-	}
-	if merr := final.Pool.VerifyMedia(); merr != nil {
-		violations = append(violations, "media-unclean: "+merr.Error())
-	}
-	violations = append(violations, checkState(cfg, final)...)
-	if probe != nil && len(violations) == 0 {
-		if _, trap := final.Call(probe.Fn, probe.Args...); trap != nil {
-			// Reads of quarantined (unreconstructible) data may still trap —
-			// that is data loss the log could not prevent, not a violation —
-			// but only when something was actually fenced off.
-			if res.Quarantined == 0 {
-				violations = append(violations, "probe-after-reopen: "+trap.Error())
+		if merr := t.inst.Pool.VerifyMedia(); merr != nil {
+			t.fail("media-unclean: " + merr.Error())
+		}
+		t.check()
+		// Reads of quarantined (unreconstructible) data may still trap —
+		// that is data loss the log could not prevent, not a violation —
+		// but only when something was actually fenced off.
+		if t.probe != nil && len(t.violations) == 0 && res.Quarantined == 0 {
+			if _, trap := t.inst.Call(t.probe.Fn, t.probe.Args...); trap != nil {
+				t.fail("probe-after-reopen: " + trap.Error())
 			}
 		}
 	}
-	return finishMedia(res, violations, healedAny)
+	res.ScrubRepairs, res.MitigationAttempts = t.scrubs, t.attempts
+	res.Violations, res.Outcome = t.verdict()
+	return res
 }
 
 // saveTrialImage writes the still-corrupt image snapshot for offline repair
 // tooling. Write failures are violations: the CI job depends on the corpus.
-func saveTrialImage(inst *arthas.Instance, dir, name string, trial int, violations *[]string) {
-	base := strings.TrimSuffix(filepath.Base(name), filepath.Ext(name))
-	path := filepath.Join(dir, fmt.Sprintf("%s-media-%03d.img", base, trial))
-	f, err := os.Create(path)
+func saveTrialImage(t *trial, dir string, trial int) {
+	name := filepath.Base(t.cfg.Name)
+	path := filepath.Join(dir, fmt.Sprintf("%s-media-%03d.img", strings.TrimSuffix(name, filepath.Ext(name)), trial))
+	var buf bytes.Buffer
+	err := t.inst.SaveImage(&buf)
+	if err == nil {
+		err = os.WriteFile(path, buf.Bytes(), 0o644)
+	}
 	if err != nil {
-		*violations = append(*violations, "image-save-failed: "+err.Error())
-		return
+		t.fail("image-save-failed: " + err.Error())
 	}
-	defer f.Close()
-	if err := inst.SaveImage(f); err != nil {
-		*violations = append(*violations, "image-save-failed: "+err.Error())
-	}
-}
-
-func finishMedia(res MediaTrialResult, violations []string, healed bool) MediaTrialResult {
-	res.Violations = sortedViolations(violations)
-	switch {
-	case len(res.Violations) > 0:
-		res.Outcome = "violated"
-	case healed:
-		res.Outcome = "healed"
-	default:
-		res.Outcome = "clean"
-	}
-	return res
 }

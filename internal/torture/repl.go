@@ -1,12 +1,9 @@
 package torture
 
 import (
-	"bytes"
 	"encoding/json"
 	"fmt"
 	"math/rand"
-	"sort"
-	"sync"
 
 	"arthas"
 	"arthas/internal/checkpoint"
@@ -98,103 +95,45 @@ func (r *ReplReport) JSON() ([]byte, error) {
 }
 
 // RunRepl executes a replication sweep: enumerate the workload's durability
-// events and (via a fault-free baseline replication run) its stream
-// records, derive one failure spec per event for each victim kind, and run
-// each as an independent trial asserting word-identical convergence.
+// events and its stream records with one fault-free replication run, derive
+// one failure spec per event for each victim kind, and run each as an
+// independent trial asserting word-identical convergence.
 func RunRepl(cfg Config) (*ReplReport, error) {
-	cfg = cfg.withDefaults()
-	calls, err := ParseScript(cfg.Script)
+	sw, err := parse(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var probe *Call
-	if cfg.Probe != "" {
-		pc, err := ParseScript(cfg.Probe)
-		if err != nil {
-			return nil, err
-		}
-		if len(pc) != 1 {
-			return nil, fmt.Errorf("torture: probe must be a single call, got %d", len(pc))
-		}
-		probe = &pc[0]
+	// The baseline run ships after every call like a trial, and must itself
+	// converge: a broken protocol fails fast here instead of poisoning
+	// every trial.
+	var events []EventInfo
+	base, sess, err := newReplTrial(sw)
+	if err == nil {
+		events, err = enumerate(base)
 	}
-	events, err := enumerate(cfg, calls)
 	if err != nil {
 		return nil, fmt.Errorf("torture: baseline run: %w", err)
 	}
-	records, err := baselineRecords(cfg, calls)
-	if err != nil {
-		return nil, fmt.Errorf("torture: baseline replication: %w", err)
+	if v := replIdentityViolation(base.inst, sess); v != "" {
+		return nil, fmt.Errorf("torture: baseline replication: fault-free replication diverged: %s", v)
 	}
-	specs := buildReplSchedules(cfg, events, records)
-
+	records := sess.Status().Seq
+	specs := buildReplSchedules(sw.cfg, events, records)
 	rep := &ReplReport{
-		Program: cfg.Name,
-		Script:  cfg.Script,
-		Seed:    cfg.Seed,
+		Program: sw.cfg.Name,
+		Script:  sw.cfg.Script,
+		Seed:    sw.cfg.Seed,
 		Events:  len(events),
 		Records: records,
 		Trials:  len(specs),
-		Results: make([]ReplTrialResult, len(specs)),
+		Results: runTrials(sw.cfg.Workers, len(specs), func(i int) ReplTrialResult {
+			res := replTrial(sw, specs[i])
+			res.Trial = i
+			return res
+		}),
 	}
-	runOne := func(i int) {
-		res := runReplTrial(cfg, calls, probe, specs[i])
-		res.Trial = i
-		rep.Results[i] = res
-	}
-	if cfg.Workers > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, cfg.Workers)
-		for i := range specs {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				runOne(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range specs {
-			runOne(i)
-		}
-	}
-	for _, res := range rep.Results {
-		switch res.Outcome {
-		case "clean":
-			rep.Clean++
-		case "healed":
-			rep.Healed++
-		default:
-			rep.Violated++
-		}
-	}
+	rep.Clean, rep.Healed, rep.Violated = tally(rep.Results, func(r ReplTrialResult) string { return r.Outcome })
 	return rep, nil
-}
-
-// baselineRecords runs the workload once under a fault-free replication rig
-// and returns the stream record count — the seq universe stream/replica
-// victims enumerate. It also sanity-checks that fault-free replication
-// converges word-identically; a broken protocol fails fast here instead of
-// poisoning every trial.
-func baselineRecords(cfg Config, calls []Call) (uint64, error) {
-	rig, err := newReplRig(cfg)
-	if err != nil {
-		return 0, err
-	}
-	for _, c := range calls {
-		if _, trap := rig.cur.Call(c.Fn, c.Args...); trap != nil {
-			return 0, fmt.Errorf("workload call %q trapped with no injection: %v", c, trap)
-		}
-		if err := rig.sess.Ship(); err != nil {
-			return 0, err
-		}
-	}
-	if v := replIdentityViolation(rig); v != "" {
-		return 0, fmt.Errorf("fault-free replication diverged: %s", v)
-	}
-	return rig.sess.Status().Seq, nil
 }
 
 // buildReplSchedules derives the victim universe: every durability event as
@@ -218,53 +157,51 @@ func buildReplSchedules(cfg Config, events []EventInfo, records uint64) []ReplSp
 	for seq := uint64(1); seq <= records; seq++ {
 		specs = append(specs, ReplSpec{Victim: ReplVictimReplica, Seq: seq})
 	}
-	if cfg.Points > 0 && len(specs) > cfg.Points {
-		idx := rng.Perm(len(specs))[:cfg.Points]
-		sort.Ints(idx)
-		sampled := make([]ReplSpec, 0, cfg.Points)
-		for _, i := range idx {
-			sampled = append(sampled, specs[i])
-		}
-		specs = sampled
-	}
-	return specs
+	return sample(rng, specs, cfg.Points)
 }
 
-// replRig is one primary + shipper + session under test. cur tracks the
-// CURRENT primary instance across crash reopens, so the session's snapshot
-// source always reads the live pool and log.
-type replRig struct {
-	cur  *arthas.Instance
-	sh   *repl.Shipper
-	sess *repl.Session
-}
-
-func newReplRig(cfg Config) (*replRig, error) {
-	r := &replRig{sh: repl.NewShipper()}
-	acfg := arthasConfig(cfg)
-	acfg.WrapHooks = r.sh.WrapHooks
-	inst, err := arthas.New(cfg.Name, cfg.Source, acfg)
+// newReplTrial deploys a primary whose checkpoint log streams through a
+// shipper to a standby replica, and hooks the session into the trial: it
+// ships after every call (the tightest lag bound), and every heal or crash
+// reopen — durable writes the stream never saw — marks it dirty so it
+// resyncs before trusting the stream again. The session's snapshot source
+// reads the trial's CURRENT instance, which crash reopens replace.
+func newReplTrial(sw *sweep) (*trial, *repl.Session, error) {
+	sh := repl.NewShipper()
+	acfg := sw.cfg.instance()
+	acfg.WrapHooks = sh.WrapHooks
+	t, err := newTrial(sw, acfg)
 	if err != nil {
-		return nil, err
+		return t, nil, err
 	}
-	r.cur = inst
-	r.sess = repl.NewSession(r.sh, uint64(cfg.Seed)|1, func() (*pmem.Pool, *checkpoint.Log) {
-		return r.cur.Pool, r.cur.Log
+	sess := repl.NewSession(sh, uint64(sw.cfg.Seed)|1, func() (*pmem.Pool, *checkpoint.Log) {
+		return t.inst.Pool, t.inst.Log
 	})
-	return r, r.sess.Ship()
+	if err := sess.Ship(); err != nil {
+		t.fail("deploy-failed: " + err.Error())
+		return t, nil, err
+	}
+	t.afterCall = func() bool {
+		if err := sess.Ship(); err != nil {
+			return t.fail("ship-failed: " + err.Error())
+		}
+		return true
+	}
+	t.dirty = sess.MarkDirty
+	return t, sess, nil
 }
 
 // replIdentityViolation ships any residue and compares the primary's and
 // replica's durable images word by word — the sweep's convergence oracle.
-func replIdentityViolation(rig *replRig) string {
-	if err := rig.sess.Ship(); err != nil {
+func replIdentityViolation(primary *arthas.Instance, sess *repl.Session) string {
+	if err := sess.Ship(); err != nil {
 		return "final-ship-failed: " + err.Error()
 	}
-	if lag := rig.sess.Lag(); lag != 0 {
+	if lag := sess.Lag(); lag != 0 {
 		return fmt.Sprintf("residual-lag: %d records unacked after final ship", lag)
 	}
-	prim := rig.cur.Pool.DurableImage()
-	rep := rig.sess.ReplicaImage()
+	prim := primary.Pool.DurableImage()
+	rep := sess.ReplicaImage()
 	if rep == nil {
 		return "no-replica: session lost its replica"
 	}
@@ -280,28 +217,27 @@ func replIdentityViolation(rig *replRig) string {
 	return ""
 }
 
-// runReplTrial runs one replication-failure schedule in a fresh rig. The
-// workload ships after every call (the tightest lag bound), the ordered
-// failure fires once, and the trial ends with the identity oracle: primary
-// and replica durable images word-identical, zero residual lag.
-func runReplTrial(cfg Config, calls []Call, probe *Call, spec ReplSpec) ReplTrialResult {
-	res := ReplTrialResult{Spec: spec, Outcome: "clean"}
-	var violations []string
-	healed := false
-
-	rig, err := newReplRig(cfg)
+// replTrial runs one replication-failure schedule on a fresh rig. A primary
+// victim is a one-crash schedule; a stream or replica victim is a link or
+// replica fault that fires once. The final oracle demands convergence:
+// primary and replica durable images word-identical, zero residual lag,
+// and the session having noticed the failure it was dealt.
+func replTrial(sw *sweep, spec ReplSpec) ReplTrialResult {
+	res := ReplTrialResult{Spec: spec}
+	t, sess, err := newReplTrial(sw)
 	if err != nil {
-		res.Outcome = "violated"
-		res.Violations = []string{"deploy-failed: " + err.Error()}
+		res.Violations, res.Outcome = t.verdict()
 		return res
 	}
-
+	var sched Schedule
 	switch spec.Victim {
+	case ReplVictimPrimary:
+		sched = Schedule{{Event: spec.Event, Keep: spec.Keep}}
 	case ReplVictimStream:
 		// Tear the wire batch mid-record at the target seq, once. The
 		// session must keep the complete prefix, count a truncation, and
 		// re-ship the tail.
-		rig.sess.LinkFault = func(b []byte) []byte {
+		sess.LinkFault = func(b []byte) []byte {
 			if res.Fired {
 				return b
 			}
@@ -327,7 +263,7 @@ func runReplTrial(cfg Config, calls []Call, probe *Call, spec ReplSpec) ReplTria
 	case ReplVictimReplica:
 		// Kill the replica as it applies the target seq, once. The session
 		// must drop it, back off, and resync from a fresh snapshot.
-		rig.sess.ReplicaFault = func(seq uint64) bool {
+		sess.ReplicaFault = func(seq uint64) bool {
 			if !res.Fired && seq == spec.Seq {
 				res.Fired = true
 				return true
@@ -335,158 +271,23 @@ func runReplTrial(cfg Config, calls []Call, probe *Call, spec ReplSpec) ReplTria
 			return false
 		}
 	}
-
-	armed := spec.Victim == ReplVictimPrimary
-	ci := 0
-	for {
-		if armed {
-			count := 0
-			rig.cur.Pool.SetCrashFunc(func(ev pmem.DurEvent) (int, bool) {
-				i := count
-				count++
-				if i != spec.Event {
-					return ev.Words, false
-				}
-				keep := spec.Keep
-				if keep < 0 || keep > ev.Words {
-					keep = ev.Words
-				}
-				res.Crashes = append(res.Crashes,
-					fmt.Sprintf("%s@%#x+%d keep=%d", ev.Kind, ev.Addr, ev.Words, keep))
-				return keep, true
-			})
+	if t.run(sched) {
+		if v := replIdentityViolation(t.inst, sess); v != "" {
+			t.fail(v)
 		}
-
-		crashed := false
-		for ci < len(calls) {
-			c := calls[ci]
-			_, trap := rig.cur.Call(c.Fn, c.Args...)
-			if rig.cur.Pool.CrashLatched() {
-				crashed = true
-				res.Fired = true
-				break
-			}
-			if trap != nil {
-				ok, mrep, v := heal(rig.cur, trap, &c)
-				if mrep != nil {
-					res.MitigationAttempts += mrep.Attempts
-				}
-				if !ok {
-					violations = append(violations, v)
-					return finishRepl(res, rig, violations, healed)
-				}
-				// Mitigation reverts through raw pool writes the stream never
-				// saw: resync before trusting the stream again.
-				rig.sess.MarkDirty()
-				healed = true
-			}
-			ci++
-			if err := rig.sess.Ship(); err != nil {
-				violations = append(violations, "ship-failed: "+err.Error())
-				return finishRepl(res, rig, violations, healed)
-			}
+		st := sess.Status()
+		switch {
+		case res.Fired && spec.Victim == ReplVictimStream && st.Truncations == 0:
+			t.fail("cut-unnoticed: stream tear produced no truncation")
+		case res.Fired && spec.Victim == ReplVictimReplica && st.Drops == 0:
+			t.fail("kill-unnoticed: replica death produced no drop")
 		}
-		if !crashed {
-			break
-		}
-
-		// Power failure on the primary: volatile state dies, the (possibly
-		// torn) durable image is what the next process sees. The stream's
-		// recorded tail may describe writes the tear threw away, so the
-		// session is dirty until it resyncs from the recovered primary.
-		armed = false
-		rig.cur.Pool.SetCrashFunc(nil)
-		rig.cur.Pool.Crash()
-		rig.cur.Pool.ResetCrashLatch()
-
-		acfg := arthasConfig(cfg)
-		acfg.WrapHooks = rig.sh.WrapHooks
-		next, vs := reopenWith(cfg, acfg, rig.cur)
-		violations = append(violations, vs...)
-		if next == nil {
-			return finishRepl(res, rig, violations, healed)
-		}
-		rig.cur = next
-		rig.sess.MarkDirty()
-
-		if trap := rig.cur.Restart(); trap != nil {
-			ok, mrep, v := heal(rig.cur, trap, probe)
-			if mrep != nil {
-				res.MitigationAttempts += mrep.Attempts
-			}
-			if !ok {
-				violations = append(violations, v)
-				return finishRepl(res, rig, violations, healed)
-			}
-			healed = true
-		}
-		violations = append(violations, checkState(cfg, rig.cur)...)
-		if len(violations) > 0 {
-			return finishRepl(res, rig, violations, healed)
-		}
+		t.check()
 	}
-
-	if probe != nil {
-		if _, trap := rig.cur.Call(probe.Fn, probe.Args...); trap != nil {
-			ok, mrep, v := heal(rig.cur, trap, probe)
-			if mrep != nil {
-				res.MitigationAttempts += mrep.Attempts
-			}
-			if !ok {
-				violations = append(violations, v)
-				return finishRepl(res, rig, violations, healed)
-			}
-			rig.sess.MarkDirty()
-			healed = true
-		}
-	}
-
-	if v := replIdentityViolation(rig); v != "" {
-		violations = append(violations, v)
-	}
-	st := rig.sess.Status()
-	switch spec.Victim {
-	case ReplVictimStream:
-		if res.Fired && st.Truncations == 0 {
-			violations = append(violations, "cut-unnoticed: stream tear produced no truncation")
-		}
-	case ReplVictimReplica:
-		if res.Fired && st.Drops == 0 {
-			violations = append(violations, "kill-unnoticed: replica death produced no drop")
-		}
-	}
-	violations = append(violations, checkState(cfg, rig.cur)...)
-	return finishRepl(res, rig, violations, healed)
-}
-
-// reopenWith is reopen with an explicit instance config, so crash reopens
-// keep the replication hooks wired into the same shipper.
-func reopenWith(cfg Config, acfg arthas.Config, inst *arthas.Instance) (*arthas.Instance, []string) {
-	var buf bytes.Buffer
-	if err := inst.SaveImage(&buf); err != nil {
-		return nil, []string{"save-failed: " + err.Error()}
-	}
-	next, err := arthas.OpenImage(inst.Name, cfg.Source, acfg, &buf)
-	if err != nil {
-		return nil, []string{"reopen-failed: " + err.Error()}
-	}
-	return next, nil
-}
-
-func finishRepl(res ReplTrialResult, rig *replRig, violations []string, healed bool) ReplTrialResult {
-	st := rig.sess.Status()
-	res.Truncations = st.Truncations
-	res.Drops = st.Drops
-	res.Resyncs = st.Resyncs
-	res.Records = st.Records
-	res.Violations = sortedViolations(violations)
-	switch {
-	case len(res.Violations) > 0:
-		res.Outcome = "violated"
-	case healed:
-		res.Outcome = "healed"
-	default:
-		res.Outcome = "clean"
-	}
+	st := sess.Status()
+	res.Fired = res.Fired || len(t.crashes) > 0
+	res.Crashes, res.MitigationAttempts = t.crashes, t.attempts
+	res.Truncations, res.Drops, res.Resyncs, res.Records = st.Truncations, st.Drops, st.Resyncs, st.Records
+	res.Violations, res.Outcome = t.verdict()
 	return res
 }

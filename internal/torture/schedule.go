@@ -3,10 +3,6 @@ package torture
 import (
 	"fmt"
 	"math/rand"
-	"sort"
-
-	"arthas"
-	"arthas/internal/pmem"
 )
 
 // CrashSpec orders one injected crash: at the Event'th durability event of
@@ -32,26 +28,6 @@ func (s Schedule) String() string {
 		out += fmt.Sprintf("e%dk%d", sp.Event, sp.Keep)
 	}
 	return out
-}
-
-// enumerate runs the workload once uninjected with a counting hook and
-// returns every durability event in order — the crash-point universe.
-func enumerate(cfg Config, calls []Call) ([]EventInfo, error) {
-	inst, err := arthas.New(cfg.Name, cfg.Source, arthasConfig(cfg))
-	if err != nil {
-		return nil, err
-	}
-	var events []EventInfo
-	inst.Pool.SetCrashFunc(func(ev pmem.DurEvent) (int, bool) {
-		events = append(events, EventInfo{Kind: ev.Kind.String(), Addr: ev.Addr, Words: ev.Words})
-		return ev.Words, false
-	})
-	for _, c := range calls {
-		if _, trap := inst.Call(c.Fn, c.Args...); trap != nil {
-			return nil, fmt.Errorf("workload call %q trapped with no injection: %v", c, trap)
-		}
-	}
-	return events, nil
 }
 
 // buildSchedules expands the event universe into crash schedules:
@@ -98,16 +74,7 @@ func buildSchedules(cfg Config, events []EventInfo) []Schedule {
 			all = append(all, Schedule{first, second})
 		}
 	}
-	if cfg.Points > 0 && len(all) > cfg.Points {
-		idx := rng.Perm(len(all))[:cfg.Points]
-		sort.Ints(idx)
-		sampled := make([]Schedule, 0, cfg.Points)
-		for _, i := range idx {
-			sampled = append(sampled, all[i])
-		}
-		all = sampled
-	}
-	return all
+	return sample(rng, all, cfg.Points)
 }
 
 func dedupInts(in []int) []int {

@@ -11,9 +11,9 @@ import "fmt"
 // shrinkAll minimizes every violated schedule in a result set, deduplicating
 // schedules that shrink to the same reproducer. Deterministic: results are
 // visited in trial order and every probe re-runs a fresh trial.
-func shrinkAll(cfg Config, calls []Call, probe *Call, results []TrialResult) []Seed {
+func shrinkAll(sw *sweep, results []TrialResult) []Seed {
 	violates := func(s Schedule) (bool, string) {
-		r := runTrial(cfg, calls, probe, s)
+		r := crashTrial(sw, s)
 		if r.Outcome != "violated" {
 			return false, ""
 		}
@@ -37,10 +37,10 @@ func shrinkAll(cfg Config, calls []Call, probe *Call, results []TrialResult) []S
 		}
 		seen[key] = true
 		seeds = append(seeds, Seed{
-			Program:   cfg.Name,
-			Script:    cfg.Script,
-			RecoverFn: cfg.RecoverFn,
-			Probe:     cfg.Probe,
+			Program:   sw.cfg.Name,
+			Script:    sw.cfg.Script,
+			RecoverFn: sw.cfg.RecoverFn,
+			Probe:     sw.cfg.Probe,
 			Schedule:  min,
 			Note:      note,
 		})

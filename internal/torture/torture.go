@@ -23,15 +23,17 @@
 // come from a seeded PRNG, trials share no state, and reports carry no
 // wall-clock data — the JSON output is byte-identical across runs and
 // across -workers values.
+//
+// The media-fault, replication and optimizer-equivalence sweeps run on the
+// same engine: one driver (sweep.go) and one trial rig (trial.go), with
+// each mode supplying its fault injector and final oracle.
 package torture
 
 import (
 	"encoding/json"
 	"fmt"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"arthas"
 )
@@ -133,15 +135,16 @@ func (c *Config) withDefaults() Config {
 	return out
 }
 
-// arthasConfig builds the instance configuration for trials.
-func arthasConfig(cfg Config) arthas.Config {
+// instance builds the arthas configuration every deploy and reopen of
+// the program under test uses.
+func (c Config) instance() arthas.Config {
 	return arthas.Config{
-		PoolWords:    cfg.PoolWords,
-		MaxVersions:  cfg.MaxVersions,
-		StepLimit:    cfg.StepLimit,
-		RecoverFn:    cfg.RecoverFn,
-		FlightEvents: cfg.FlightEvents,
-		Optimize:     cfg.Optimize,
+		PoolWords:    c.PoolWords,
+		MaxVersions:  c.MaxVersions,
+		StepLimit:    c.StepLimit,
+		RecoverFn:    c.RecoverFn,
+		FlightEvents: c.FlightEvents,
+		Optimize:     c.Optimize,
 	}
 }
 
@@ -201,78 +204,33 @@ type Seed struct {
 }
 
 // Run executes a full torture sweep: enumerate durability events with a
-// baseline run, build schedules, run each as an independent trial, shrink
-// failures.
+// baseline run, build crash schedules, run each as an independent trial,
+// shrink failures.
 func Run(cfg Config) (*Report, error) {
-	cfg = cfg.withDefaults()
-	calls, err := ParseScript(cfg.Script)
+	sw, err := parse(cfg)
 	if err != nil {
 		return nil, err
 	}
-	var probe *Call
-	if cfg.Probe != "" {
-		pc, err := ParseScript(cfg.Probe)
-		if err != nil {
-			return nil, err
-		}
-		if len(pc) != 1 {
-			return nil, fmt.Errorf("torture: probe must be a single call, got %d", len(pc))
-		}
-		probe = &pc[0]
-	}
-
-	events, err := enumerate(cfg, calls)
+	_, events, err := baseline(sw)
 	if err != nil {
 		return nil, fmt.Errorf("torture: baseline run: %w", err)
 	}
-	schedules := buildSchedules(cfg, events)
-
+	schedules := buildSchedules(sw.cfg, events)
 	rep := &Report{
-		Program: cfg.Name,
-		Script:  cfg.Script,
-		Seed:    cfg.Seed,
+		Program: sw.cfg.Name,
+		Script:  sw.cfg.Script,
+		Seed:    sw.cfg.Seed,
 		Events:  len(events),
 		Trials:  len(schedules),
-		Results: make([]TrialResult, len(schedules)),
+		Results: runTrials(sw.cfg.Workers, len(schedules), func(i int) TrialResult {
+			res := crashTrial(sw, schedules[i])
+			res.Trial = i
+			return res
+		}),
 	}
-
-	runOne := func(i int) {
-		res := runTrial(cfg, calls, probe, schedules[i])
-		res.Trial = i
-		rep.Results[i] = res
-	}
-	if cfg.Workers > 1 {
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, cfg.Workers)
-		for i := range schedules {
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(i int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				runOne(i)
-			}(i)
-		}
-		wg.Wait()
-	} else {
-		for i := range schedules {
-			runOne(i)
-		}
-	}
-
-	for _, res := range rep.Results {
-		switch res.Outcome {
-		case "clean":
-			rep.Clean++
-		case "healed":
-			rep.Healed++
-		default:
-			rep.Violated++
-		}
-	}
-
-	if cfg.Shrink && rep.Violated > 0 {
-		rep.Shrunk = shrinkAll(cfg, calls, probe, rep.Results)
+	rep.Clean, rep.Healed, rep.Violated = tally(rep.Results, func(r TrialResult) string { return r.Outcome })
+	if sw.cfg.Shrink && rep.Violated > 0 {
+		rep.Shrunk = shrinkAll(sw, rep.Results)
 	}
 	return rep, nil
 }
@@ -280,43 +238,29 @@ func Run(cfg Config) (*Report, error) {
 // Replay runs one seed's schedule against the program source and returns
 // its result — the regression path for the golden corpus.
 func Replay(source string, seed Seed) (*TrialResult, error) {
-	base := Config{
+	sw, err := parse(Config{
 		Name:      seed.Program,
 		Source:    source,
 		Script:    seed.Script,
 		RecoverFn: seed.RecoverFn,
 		Probe:     seed.Probe,
-	}
-	cfg := base.withDefaults()
-	calls, err := ParseScript(seed.Script)
+	})
 	if err != nil {
 		return nil, err
 	}
-	var probe *Call
-	if seed.Probe != "" {
-		pc, err := ParseScript(seed.Probe)
-		if err != nil {
-			return nil, err
-		}
-		probe = &pc[0]
-	}
-	res := runTrial(cfg, calls, probe, seed.Schedule)
+	res := crashTrial(sw, seed.Schedule)
 	return &res, nil
 }
 
-// sortedViolations returns a deterministic, deduplicated violation list.
-func sortedViolations(vs []string) []string {
-	if len(vs) == 0 {
-		return nil
+// crashTrial runs one crash schedule on a fresh instance. Its final oracle
+// is the structural one: after the workload and probe complete, the state
+// must survive one more save/reopen round trip cleanly.
+func crashTrial(sw *sweep, sched Schedule) TrialResult {
+	t, _ := newTrial(sw, sw.cfg.instance())
+	if t.run(sched) && t.reopen() {
+		t.check()
 	}
-	seen := map[string]bool{}
-	var out []string
-	for _, v := range vs {
-		if !seen[v] {
-			seen[v] = true
-			out = append(out, v)
-		}
-	}
-	sort.Strings(out)
-	return out
+	res := TrialResult{Schedule: sched, Crashes: t.crashes, MitigationAttempts: t.attempts}
+	res.Violations, res.Outcome = t.verdict()
+	return res
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -29,6 +30,39 @@ func TestParseScript(t *testing.T) {
 	}
 	if _, err := ParseScript(" ; ; "); err == nil {
 		t.Fatal("empty script accepted")
+	}
+}
+
+// TestMultiCallProbeRejected: every entry point parses the probe the same
+// way, so a multi-call probe is an error everywhere — Replay included,
+// rather than silently running its first call.
+func TestMultiCallProbeRejected(t *testing.T) {
+	cfg := Config{
+		Name:      "counter",
+		Source:    progSource(t, "counter"),
+		Script:    "init_; bump",
+		RecoverFn: "recover_",
+		Probe:     "value; value",
+		Points:    1,
+	}
+	seed := Seed{
+		Program:   cfg.Name,
+		Script:    cfg.Script,
+		RecoverFn: cfg.RecoverFn,
+		Probe:     cfg.Probe,
+		Schedule:  Schedule{{Event: 0, Keep: -1}},
+	}
+	entry := map[string]func() error{
+		"Run":            func() error { _, err := Run(cfg); return err },
+		"RunMedia":       func() error { _, err := RunMedia(cfg, ""); return err },
+		"RunRepl":        func() error { _, err := RunRepl(cfg); return err },
+		"RunEquivalence": func() error { _, err := RunEquivalence(cfg); return err },
+		"Replay":         func() error { _, err := Replay(cfg.Source, seed); return err },
+	}
+	for name, run := range entry {
+		if err := run(); err == nil || !strings.Contains(err.Error(), "probe must be a single call") {
+			t.Errorf("%s with probe %q: err = %v, want the single-call error", name, cfg.Probe, err)
+		}
 	}
 }
 
