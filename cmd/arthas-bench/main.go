@@ -4,222 +4,110 @@
 // Usage:
 //
 //	arthas-bench [-exp NAME] [-ops N] [-ycsb N] [-inserts N] [-seeds N]
-//	             [-json FILE] [-workers N]
+//	             [-workers N] [-clients N] [-json FILE]
 //
-//	-json   run the full evaluation and write every table/figure result as
-//	        one structured JSON document (schema arthas-bench/v1) instead
-//	        of text; see BENCH_baseline.json for a committed example
-//	-workers N > 1 adds a sequential-vs-parallel speculative-mitigation
-//	        comparison ("workers"/"parallel" JSON fields, or `-exp
-//	        parallel` as text); at the default 1 the output is unchanged
-//	-exp    which experiment to run (default "all"):
+//	-exp    which view to print (default "all"); a view runs its unit:
 //	        table1 fig2 fig3 types table2          (study + dataset)
 //	        table3 table4 table5 fig8 fig9 fig11   (recoverability matrix)
 //	        fig10 table6                           (batch vs one-by-one)
-//	        parallel                               (speculative speedup)
 //	        table7                                 (invariants/checksums)
 //	        fig12 table8                           (runtime overhead)
 //	        table9                                 (static analysis)
 //	        scrub                                  (media checksum/scrub cost)
 //	        provenance                             (write-lineage cost + persist amplification)
-//	        fleet                                  (sharded serving fleet: scaling + mid-run fault)
+//	        parallel                               (speculative speedup)
+//	        fleet                                  (sharded serving fleet: baseline + mid-run fault)
 //	        repl                                   (replicated pools: overhead, lag, failover vs mitigation)
 //	        optimize                               (flush/fence elimination: before/after persists)
-//	        all                                    (everything)
+//	        all                                    (every unit above but fleet, repl and
+//	                                                optimize; parallel only with -workers > 1)
+//	-json   also write the units that ran as one arthas-bench/v1 JSON
+//	        document, one section per unit
+//	-workers N > 1 adds the sequential-vs-parallel speculative-mitigation
+//	        comparison to all; fleet runs its shards' mitigation at N workers
 //
-// -exp fleet honors -workers (per-shard speculative mitigation), -clients,
-// and -ops (per-client op count); combined with -json FILE it writes a
-// fleet-only arthas-bench/v1 document (the CI fleet smoke artifact) instead
-// of text.
-//
-// -exp repl honors -clients and -ops; with -json FILE it writes a repl-only
-// arthas-bench/v1 document (the CI repl job artifact) instead of text.
-//
-// -exp optimize runs every fixture and paper system unoptimized and under
-// the internal/opt flush/fence-elimination pass (provenance attached) and
-// reports static rewrites, persist-op counts, redundant-persist ratios,
-// and throughput; with -json FILE it writes an optimize-only
-// arthas-bench/v1 document (the CI optimizer artifact). Honors -ops. Run
-// from the repo root (reads testdata/*.pml).
+// A flag that no selected unit reads (-exp table3 -ycsb 5) exits 2 with
+// usage. -exp optimize reads testdata/*.pml: run it from the repo root.
 //
 // Absolute numbers differ from the paper (the substrate is a simulator on
 // logical time); the shapes are what reproduce. See EXPERIMENTS.md.
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
+	"sort"
+	"strings"
 
 	"arthas/internal/experiments"
-	"arthas/internal/faults"
 )
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run")
-	ops := flag.Int("ops", 0, "fault-case workload operations (0 = defaults)")
-	ycsb := flag.Int("ycsb", 100_000, "YCSB ops for overhead runs")
-	inserts := flag.Int("inserts", 100_000, "insert ops for overhead runs")
-	seeds := flag.Int("seeds", 10, "seeds for probabilistic pmCRIU cases")
-	jsonOut := flag.String("json", "", "write the full evaluation as structured JSON to this file")
-	workers := flag.Int("workers", 1, "add a sequential-vs-parallel mitigation comparison at this worker count (1 = off; JSON output unchanged)")
-	clients := flag.Int("clients", 0, "closed-loop clients for -exp fleet (0 = default 4)")
-	flag.Parse()
-
-	mcfg := experiments.MatrixConfig{Seeds: *seeds}
-	mcfg.Run.WorkloadOps = *ops
-	ocfg := experiments.OverheadConfig{YCSBOps: *ycsb, InsertOps: *inserts}
-
-	if *exp == "fleet" {
-		fcfg := experiments.FleetConfig{Clients: *clients, OpsPerClient: *ops}
-		if *workers > 1 {
-			fcfg.Workers = *workers
-		}
-		fr, err := experiments.RunFleet(fcfg)
-		check(err)
-		fmt.Print(fr.Text())
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			check(err)
-			check(fr.WriteJSON(f))
-			check(f.Close())
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return
-	}
-
-	if *exp == "repl" {
-		rr, err := experiments.RunRepl(experiments.ReplConfig{Clients: *clients, OpsPerClient: *ops})
-		check(err)
-		fmt.Print(rr.Text())
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			check(err)
-			check(rr.WriteJSON(f))
-			check(f.Close())
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return
-	}
-
-	if *exp == "optimize" {
-		or, err := experiments.RunOptimize(experiments.OptimizeConfig{Ops: *ops})
-		check(err)
-		fmt.Print(or.Text())
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			check(err)
-			check(or.WriteJSON(f))
-			check(f.Close())
-			fmt.Printf("wrote %s\n", *jsonOut)
-		}
-		return
-	}
-
-	if *jsonOut != "" {
-		rep, err := experiments.FullJSON(experiments.FullConfig{
-			Matrix: mcfg, Overhead: ocfg, Workers: *workers,
-		})
-		check(err)
-		f, err := os.Create(*jsonOut)
-		check(err)
-		check(rep.Write(f))
-		check(f.Close())
-		fmt.Printf("wrote %s\n", *jsonOut)
-		return
-	}
-
-	needMatrix := map[string]bool{
-		"table3": true, "table4": true, "table5": true,
-		"fig8": true, "fig9": true, "fig11": true,
-	}
-
-	switch {
-	case *exp == "all":
-		text, err := experiments.FullReport(experiments.FullConfig{
-			Matrix: mcfg, Overhead: ocfg,
-		})
-		check(err)
-		fmt.Print(text)
-	case *exp == "table1":
-		fmt.Print(experiments.Table1())
-	case *exp == "fig2":
-		fmt.Print(experiments.Fig2())
-	case *exp == "fig3":
-		fmt.Print(experiments.Fig3())
-	case *exp == "types":
-		fmt.Print(experiments.PropagationTypes())
-	case *exp == "table2":
-		fmt.Print(experiments.Table2())
-	case needMatrix[*exp]:
-		m, err := experiments.RunMatrix(mcfg)
-		check(err)
-		switch *exp {
-		case "table3":
-			fmt.Print(m.Table3())
-		case "table4":
-			fmt.Print(m.Table4())
-		case "table5":
-			fmt.Print(m.Table5())
-		case "fig8":
-			fmt.Print(m.Fig8())
-		case "fig9":
-			fmt.Print(m.Fig9())
-		case "fig11":
-			fmt.Print(m.Fig11())
-		}
-	case *exp == "fig10" || *exp == "table6":
-		br, err := experiments.RunBatchComparison(faults.RunConfig{})
-		check(err)
-		if *exp == "fig10" {
-			fmt.Print(br.Fig10())
-		} else {
-			fmt.Print(br.Table6())
-		}
-	case *exp == "table7":
-		text, err := experiments.Table7(faults.RunConfig{})
-		check(err)
-		fmt.Print(text)
-	case *exp == "fig12" || *exp == "table8":
-		res, err := experiments.MeasureOverhead(ocfg, []experiments.Variant{
-			experiments.Vanilla, experiments.WithArthas,
-			experiments.WithCheckpoint, experiments.WithInstr, experiments.WithPmCRIU,
-		})
-		check(err)
-		if *exp == "fig12" {
-			fmt.Print(res.Fig12())
-		} else {
-			fmt.Print(res.Table8())
-		}
-	case *exp == "parallel":
-		w := *workers
-		if w < 2 {
-			w = 4
-		}
-		pc, err := experiments.RunParallelComparison(faults.RunConfig{}, w)
-		check(err)
-		fmt.Print(pc.Text())
-	case *exp == "table9":
-		ts, err := experiments.MeasureStatic()
-		check(err)
-		fmt.Print(experiments.Table9(ts))
-	case *exp == "scrub":
-		sr, err := experiments.RunScrub(experiments.ScrubConfig{})
-		check(err)
-		fmt.Print(sr.Text())
-	case *exp == "provenance":
-		pr, err := experiments.RunProvenance(experiments.ProvenanceConfig{})
-		check(err)
-		fmt.Print(pr.Text())
-	default:
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", *exp)
-		os.Exit(2)
-	}
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(1)
+// run is the whole command: it parses args, runs the selected units once,
+// prints their text and writes -json, and returns the exit code: 0 on
+// success, 1 on an error, 2 on bad usage.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("arthas-bench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var cfg experiments.Config
+	exp := fs.String("exp", "all", "view to print; runs its unit (all = the paper's evaluation)")
+	fs.IntVar(&cfg.Ops, "ops", 0, "fault-case workload operations; per-client ops for fleet/repl; per-system ops for optimize (0 = defaults)")
+	fs.IntVar(&cfg.YCSB, "ycsb", 100_000, "YCSB ops for overhead runs")
+	fs.IntVar(&cfg.Inserts, "inserts", 100_000, "insert ops for overhead runs")
+	fs.IntVar(&cfg.Seeds, "seeds", 10, "seeds for probabilistic pmCRIU cases")
+	jsonOut := fs.String("json", "", "also write the units that ran as one JSON document to this file")
+	fs.IntVar(&cfg.Workers, "workers", 1, "add a sequential-vs-parallel mitigation comparison at this worker count (1 = off)")
+	fs.IntVar(&cfg.Clients, "clients", 0, "closed-loop clients for fleet and repl (0 = defaults)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
+		}
+		return 2
 	}
+	reads, err := experiments.Flags(*exp)
+	if err != nil {
+		fmt.Fprintf(stderr, "arthas-bench: %v\n", err)
+		return 2
+	}
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if f.Name != "exp" && f.Name != "json" && !reads[f.Name] {
+			unread = append(unread, "-"+f.Name)
+		}
+	})
+	if len(unread) > 0 {
+		sort.Strings(unread)
+		fmt.Fprintf(stderr, "arthas-bench: -exp %s does not read %s\n", *exp, strings.Join(unread, " "))
+		fs.Usage()
+		return 2
+	}
+
+	rep, err := experiments.Run(*exp, cfg)
+	if err != nil {
+		fmt.Fprintf(stderr, "arthas-bench: %v\n", err)
+		return 1
+	}
+	fmt.Fprint(stdout, rep.Text())
+	if *jsonOut == "" {
+		return 0
+	}
+	f, err := os.Create(*jsonOut)
+	if err == nil {
+		err = rep.Write(f)
+		if cerr := f.Close(); err == nil {
+			err = cerr
+		}
+	}
+	if err != nil {
+		fmt.Fprintf(stderr, "arthas-bench: %v\n", err)
+		return 1
+	}
+	fmt.Fprintf(stdout, "wrote %s\n", *jsonOut)
+	return 0
 }

@@ -26,8 +26,8 @@ type BatchCell struct {
 
 // BatchResults pairs the two strategies per fault.
 type BatchResults struct {
-	OneByOne []BatchCell
-	Batch5   []BatchCell
+	OneByOne []BatchCell `json:"one_by_one"`
+	Batch5   []BatchCell `json:"batch5"`
 }
 
 // batchCases are the paper's "several key bugs from Memcached and Redis".
@@ -55,7 +55,7 @@ func RunBatchComparison(base faults.RunConfig) (*BatchResults, error) {
 			cell := BatchCell{
 				ID: b.ID, Batch: batch, Recovered: o.Recovered,
 				Attempts: o.Attempts, Reverted: o.RevertedItems,
-				TimeMS: float64(o.MitigationTime.Microseconds()) / 1000,
+				TimeMS: ms(o.MitigationTime),
 			}
 			if batch == 1 {
 				out.OneByOne = append(out.OneByOne, cell)

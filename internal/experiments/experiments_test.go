@@ -2,15 +2,21 @@ package experiments
 
 import (
 	"fmt"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
 	"arthas/internal/faults"
 )
 
-// smallMatrix shares one matrix run across the shape tests (it is the
-// expensive part of this package's suite).
-var smallMatrix *Matrix
+// The matrix, batch and detection runs are the expensive part of this
+// package's suite; each runs once and is shared by the tests below.
+var (
+	smallMatrix     *Matrix
+	sharedBatch     *BatchResults
+	sharedDetection []Detection
+)
 
 func matrix(t *testing.T) *Matrix {
 	t.Helper()
@@ -23,6 +29,32 @@ func matrix(t *testing.T) *Matrix {
 	}
 	smallMatrix = m
 	return m
+}
+
+func batch(t *testing.T) *BatchResults {
+	t.Helper()
+	if sharedBatch != nil {
+		return sharedBatch
+	}
+	br, err := RunBatchComparison(faults.RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharedBatch = br
+	return br
+}
+
+func detection(t *testing.T) []Detection {
+	t.Helper()
+	if sharedDetection != nil {
+		return sharedDetection
+	}
+	ds, err := RunDetection(faults.RunConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sharedDetection = ds
+	return ds
 }
 
 func TestTable3Shape(t *testing.T) {
@@ -143,25 +175,40 @@ func TestTable4Shape(t *testing.T) {
 	}
 }
 
+// renderView renders one -exp view of r through the unit table.
+func renderView(t *testing.T, r *Report, name string) string {
+	t.Helper()
+	sel, v, err := selectUnits(name, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r.units, r.view = sel, v
+	return r.Text()
+}
+
+// TestRenderings is the golden table: every deterministic view equals
+// `arthas-bench -exp VIEW` as pinned in testdata/bench (two runs of the
+// pinned build agreed byte for byte), and every timing view renders.
 func TestRenderings(t *testing.T) {
-	m := matrix(t)
-	for name, text := range map[string]string{
-		"table2": Table2(), "table3": m.Table3(), "table4": m.Table4(),
-		"table5": m.Table5(), "fig8": m.Fig8(), "fig9": m.Fig9(),
-		"fig11": m.Fig11(), "table1": Table1(), "fig2": Fig2(), "fig3": Fig3(),
-		"types": PropagationTypes(),
-	} {
-		if len(text) < 40 || !strings.Contains(text, "\n") {
+	r := &Report{Matrix: matrix(t), Batch: batch(t), Detection: detection(t)}
+	for _, name := range strings.Fields("table1 fig2 fig3 types table2 table3 table4 table5 fig9 fig11 table6 table7") {
+		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "bench", name+".txt"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := renderView(t, r, name); got != string(want) {
+			t.Errorf("%s differs from its golden:\n got:\n%s\nwant:\n%s", name, got, want)
+		}
+	}
+	for _, name := range []string{"fig8", "fig10"} {
+		if text := renderView(t, r, name); len(text) < 40 || !strings.Contains(text, "\n") {
 			t.Errorf("%s rendering too small:\n%s", name, text)
 		}
 	}
 }
 
 func TestBatchComparison(t *testing.T) {
-	br, err := RunBatchComparison(faults.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	br := batch(t)
 	if len(br.OneByOne) != len(br.Batch5) || len(br.OneByOne) == 0 {
 		t.Fatalf("cells: %d vs %d", len(br.OneByOne), len(br.Batch5))
 	}
@@ -181,10 +228,7 @@ func TestBatchComparison(t *testing.T) {
 }
 
 func TestTable7Shape(t *testing.T) {
-	text, err := Table7(faults.RunConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
+	text := Table7(detection(t))
 	if !strings.Contains(text, "f1") || !strings.Contains(text, "f12") {
 		t.Fatalf("table 7:\n%s", text)
 	}

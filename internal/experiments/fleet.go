@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -14,50 +12,38 @@ import (
 )
 
 // The fleet experiment: the paper's single-system toolchain scaled out to a
-// sharded serving fleet (internal/fleet, docs/FLEET.md). Two measurements:
-//
-//   - Scaling: fault-free closed-loop throughput at increasing shard counts.
-//     Shards are independent pools with independent locks, so throughput
-//     should scale near-linearly until client parallelism is exhausted.
-//   - Fault run: the same workload at the largest shard count with a hard
-//     fault injected mid-run into one shard. The faulted shard escalates
-//     (trap → restart → hard → online mitigation) while its siblings keep
-//     serving; the report compares the run against the fault-free baseline
-//     and tracks how much healthy-shard capacity survived.
+// sharded serving fleet (internal/fleet, docs/FLEET.md). A fault-free
+// closed-loop baseline at fleetShards shards, then the same workload with a
+// hard fault injected mid-run into one shard. The faulted shard escalates
+// (trap → restart → hard → online mitigation) while its siblings keep
+// serving; the report compares the run against the baseline and tracks how
+// much healthy-shard capacity survived. Shard scaling on real work is
+// bench/'s fleet.scale_2shard.
 
-// FleetConfig sizes the fleet experiment.
+// fleetShards is the fleet experiment's shard count.
+const fleetShards = 4
+
+// FleetConfig sizes the fleet experiment; its sizing fields head the
+// document's fleet section.
 type FleetConfig struct {
-	// ShardCounts are the scaling points (default 1, 2, 4).
-	ShardCounts []int
-	// Clients is the closed-loop client count (default 4).
-	Clients int
-	// OpsPerClient is each client's op count (default 400).
-	OpsPerClient int
-	// Keys is the workload keyspace (default 100).
-	Keys int
+	// Clients is the closed-loop client count (default 8).
+	Clients int `json:"clients"`
+	// OpsPerClient is each client's op count (default 10 000).
+	OpsPerClient int `json:"ops_per_client"`
+	// Keys is the workload keyspace (default 200).
+	Keys int `json:"keys"`
 	// Seed fixes the deterministic client streams (default 42).
-	Seed uint64
+	Seed uint64 `json:"seed"`
 	// Workers is per-shard speculative mitigation parallelism.
-	Workers int
-	// RestartLatency simulates per-shard restart cost, widening the
-	// observable degraded-serving window (default 0: instant).
-	RestartLatency time.Duration
-	// ServiceLatency is the simulated PM-bound per-request service time
-	// (fleet.Config.ServiceLatency); it is what makes shard-level
-	// parallelism measurable on small hosts — the VM's microsecond CPU ops
-	// serialize on one core regardless of shard count. Default 50µs.
-	ServiceLatency time.Duration
+	Workers int `json:"-"`
 }
 
 func (c FleetConfig) withDefaults() FleetConfig {
-	if len(c.ShardCounts) == 0 {
-		c.ShardCounts = []int{1, 2, 4}
-	}
 	if c.Clients == 0 {
 		c.Clients = 8
 	}
 	if c.OpsPerClient == 0 {
-		c.OpsPerClient = 500
+		c.OpsPerClient = 10_000
 	}
 	if c.Keys == 0 {
 		c.Keys = 200
@@ -65,14 +51,11 @@ func (c FleetConfig) withDefaults() FleetConfig {
 	if c.Seed == 0 {
 		c.Seed = 42
 	}
-	if c.ServiceLatency == 0 {
-		c.ServiceLatency = 50 * time.Microsecond
-	}
 	return c
 }
 
-// FleetScalingPoint is one fault-free closed-loop run.
-type FleetScalingPoint struct {
+// FleetBaseline is the fault-free closed-loop run.
+type FleetBaseline struct {
 	Shards    int     `json:"shards"`
 	Done      int64   `json:"ops"`
 	Errors    int64   `json:"errors"`
@@ -91,7 +74,6 @@ type FleetScalingPoint struct {
 
 // FleetFaultRun is the mid-run hard-fault measurement.
 type FleetFaultRun struct {
-	Shards       int   `json:"shards"`
 	FaultShard   int   `json:"fault_shard"`
 	FaultKey     int64 `json:"fault_key"`
 	InjectedAtOp int64 `json:"injected_at_op"`
@@ -108,8 +90,6 @@ type FleetFaultRun struct {
 	OpsPerSec float64 `json:"ops_per_sec"`
 	P50US     float64 `json:"p50_us"`
 	P99US     float64 `json:"p99_us"`
-	// BaselineOpsPerSec is the fault-free run at the same shard count.
-	BaselineOpsPerSec float64 `json:"baseline_ops_per_sec"`
 	// HealthyShardRatio compares non-faulted shards' delivered throughput
 	// (their completed ops over the run's wall clock) against the same
 	// shards in the fault-free baseline: 1.0 means the fault cost the
@@ -120,49 +100,17 @@ type FleetFaultRun struct {
 	IncidentJSONBytes int `json:"incident_json_bytes,omitempty"`
 }
 
-// FleetResults is the full fleet experiment output.
+// FleetResults is the full fleet experiment output (the document's fleet
+// section).
 type FleetResults struct {
-	Config  FleetConfig         `json:"-"`
-	Scaling []FleetScalingPoint `json:"scaling"`
-	Fault   *FleetFaultRun      `json:"fault"`
+	FleetConfig
+	Baseline FleetBaseline  `json:"baseline"`
+	Fault    *FleetFaultRun `json:"fault"`
 }
 
-// JSONFleet is the machine-readable fleet section (schema arthas-bench/v1).
-type JSONFleet struct {
-	Clients      int                 `json:"clients"`
-	OpsPerClient int                 `json:"ops_per_client"`
-	Keys         int                 `json:"keys"`
-	Seed         uint64              `json:"seed"`
-	Scaling      []FleetScalingPoint `json:"scaling"`
-	Fault        *FleetFaultRun      `json:"fault,omitempty"`
-}
-
-// JSON flattens the results for JSONReport.Fleet.
-func (r *FleetResults) JSON() *JSONFleet {
-	return &JSONFleet{
-		Clients:      r.Config.Clients,
-		OpsPerClient: r.Config.OpsPerClient,
-		Keys:         r.Config.Keys,
-		Seed:         r.Config.Seed,
-		Scaling:      r.Scaling,
-		Fault:        r.Fault,
-	}
-}
-
-// WriteJSON writes a standalone fleet-only bench document (the CI artifact
-// of the fleet smoke job).
-func (r *FleetResults) WriteJSON(w io.Writer) error {
-	doc := struct {
-		Schema string     `json:"schema"`
-		Fleet  *JSONFleet `json:"fleet"`
-	}{Schema: JSONSchema, Fleet: r.JSON()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// fleetDriver builds the closed-loop driver all fleet runs share, so the
-// scaling, baseline, and fault measurements execute identical client streams.
+// fleetDriver builds the closed-loop driver every fleet and repl run
+// shares, so the runs an experiment compares execute identical client
+// streams.
 //
 // Write values are a pure function of the key, not of the stream position:
 // concurrent clients race on hot keys (YCSB-A is zipfian), and the state
@@ -219,63 +167,63 @@ func fleetFaultKey(shards int) int64 {
 	}
 }
 
+// healTime injects a hard fault into key and measures until it serves
+// again: strike one trips the transient restart, strike two escalates to
+// hard-fault mitigation (or failover), and a nil read means healed.
+func healTime(f *fleet.Fleet, key int64) (time.Duration, bool) {
+	if _, err := f.InjectFault(key, 5); err != nil {
+		return 0, false
+	}
+	start := time.Now()
+	deadline := start.Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		if _, err := f.Get(key); err == nil {
+			return time.Since(start), true
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	return time.Since(start), false
+}
+
 // RunFleet executes the fleet experiment.
 func RunFleet(cfg FleetConfig) (*FleetResults, error) {
 	cfg = cfg.withDefaults()
-	res := &FleetResults{Config: cfg}
+	res := &FleetResults{FleetConfig: cfg}
 
-	// Fault-free scaling sweep. The largest point doubles as the fault
-	// run's baseline.
-	baseline := map[int]*workload.DriverReport{}
-	baselineStats := map[int][]fleet.ShardStats{}
-	for _, n := range cfg.ShardCounts {
-		// Provenance on, matching the fault run's fleet exactly: the scaling
-		// points double as its fault-free baseline, so the two configurations
-		// must differ only by the injected fault.
-		f, err := fleet.New(fleet.Config{
-			Shards: n, BaseName: "bench", Workers: cfg.Workers,
-			RestartLatency: cfg.RestartLatency, ServiceLatency: cfg.ServiceLatency,
-			Provenance: true,
-		})
-		if err != nil {
-			return nil, err
-		}
-		rep := fleetDriver(cfg, f).Run()
-		if rep.Errors != 0 {
-			return nil, fmt.Errorf("fleet: fault-free run at %d shards had %d errors (%+v)",
-				n, rep.Errors, rep.ErrCounts)
-		}
-		dig, err := f.StateDigest()
-		if err != nil {
-			return nil, err
-		}
-		baseline[n] = rep
-		baselineStats[n] = f.Stats()
-		res.Scaling = append(res.Scaling, FleetScalingPoint{
-			Shards:        n,
-			Done:          rep.Done,
-			Errors:        rep.Errors,
-			ElapsedMS:     rep.ElapsedMS,
-			OpsPerSec:     rep.OpsPerSec,
-			P50US:         rep.P50US,
-			P99US:         rep.P99US,
-			RoutingDigest: routingDigest(cfg, n),
-			StateDigest:   dig,
-		})
-	}
-
-	// Fault run at the largest shard count: inject a hard fault into shard 0
-	// halfway through, watch it heal online while siblings serve.
-	shards := cfg.ShardCounts[len(cfg.ShardCounts)-1]
-	f, err := fleet.New(fleet.Config{
-		Shards: shards, BaseName: "bench-fault", Workers: cfg.Workers,
-		RestartLatency: cfg.RestartLatency, ServiceLatency: cfg.ServiceLatency,
-		Provenance: true,
-	})
+	// Fault-free baseline. Provenance on, matching the fault run's fleet
+	// exactly, so the two runs differ only by the injected fault.
+	f, err := fleet.New(fleet.Config{Shards: fleetShards, BaseName: "bench", Workers: cfg.Workers, Provenance: true})
 	if err != nil {
 		return nil, err
 	}
-	faultKey := fleetFaultKey(shards)
+	base := fleetDriver(cfg, f).Run()
+	if base.Errors != 0 {
+		return nil, fmt.Errorf("fleet: fault-free run had %d errors (%+v)", base.Errors, base.ErrCounts)
+	}
+	dig, err := f.StateDigest()
+	if err != nil {
+		return nil, err
+	}
+	baseStats := f.Stats()
+	res.Baseline = FleetBaseline{
+		Shards:        fleetShards,
+		Done:          base.Done,
+		Errors:        base.Errors,
+		ElapsedMS:     base.ElapsedMS,
+		OpsPerSec:     base.OpsPerSec,
+		P50US:         base.P50US,
+		P99US:         base.P99US,
+		RoutingDigest: routingDigest(cfg, fleetShards),
+		StateDigest:   dig,
+	}
+
+	// Fault run: inject a hard fault into shard 0 halfway through, watch it
+	// heal online while siblings serve.
+	f, err = fleet.New(fleet.Config{Shards: fleetShards, BaseName: "bench-fault", Workers: cfg.Workers, Provenance: true})
+	if err != nil {
+		return nil, err
+	}
+	faultKey := fleetFaultKey(fleetShards)
 	if err := f.Put(faultKey, 31337); err != nil {
 		return nil, err
 	}
@@ -292,22 +240,8 @@ func RunFleet(cfg FleetConfig) (*FleetResults, error) {
 		once.Do(func() {
 			injectedAt.Store(int64(done))
 			go func() {
-				if _, err := f.InjectFault(faultKey, 5); err != nil {
-					healed <- false
-					return
-				}
-				// Probe the faulted key: strike one trips the transient
-				// restart, strike two escalates to hard-fault mitigation;
-				// a nil error means the shard serves it again.
-				deadline := time.Now().Add(30 * time.Second)
-				for time.Now().Before(deadline) {
-					if _, err := f.Get(faultKey); err == nil {
-						healed <- true
-						return
-					}
-					time.Sleep(time.Millisecond)
-				}
-				healed <- false
+				_, ok := healTime(f, faultKey)
+				healed <- ok
 			}()
 		})
 	}
@@ -320,43 +254,33 @@ func RunFleet(cfg FleetConfig) (*FleetResults, error) {
 
 	stats := f.Stats()
 	fr := &FleetFaultRun{
-		Shards:            shards,
-		FaultShard:        0,
-		FaultKey:          faultKey,
-		InjectedAtOp:      injectedAt.Load(),
-		Done:              rep.Done,
-		Errors:            rep.Errors,
-		Unavailable:       errCount(rep, "unavailable"),
-		Traps:             errCount(rep, "trap"),
-		Healed:            ok,
-		ElapsedMS:         rep.ElapsedMS,
-		OpsPerSec:         rep.OpsPerSec,
-		P50US:             rep.P50US,
-		P99US:             rep.P99US,
-		BaselineOpsPerSec: baseline[shards].OpsPerSec,
-	}
-	for _, st := range stats {
-		fr.Mitigations += st.Mitigations
-		fr.Recovered += st.Recovered
+		FaultShard:   0,
+		FaultKey:     faultKey,
+		InjectedAtOp: injectedAt.Load(),
+		Done:         rep.Done,
+		Errors:       rep.Errors,
+		Unavailable:  errCount(rep, "unavailable"),
+		Traps:        errCount(rep, "trap"),
+		Healed:       ok,
+		ElapsedMS:    rep.ElapsedMS,
+		OpsPerSec:    rep.OpsPerSec,
+		P50US:        rep.P50US,
+		P99US:        rep.P99US,
 	}
 	// Healthy-shard capacity: ops delivered by non-faulted shards per wall
 	// second, fault run vs fault-free baseline over the same streams.
 	var healthyOps, healthyBase int64
-	for i, st := range stats {
-		if i == fr.FaultShard {
-			continue
+	for i := range stats {
+		fr.Mitigations += stats[i].Mitigations
+		fr.Recovered += stats[i].Recovered
+		if i != fr.FaultShard {
+			healthyOps += stats[i].Ops
+			healthyBase += baseStats[i].Ops
 		}
-		healthyOps += st.Ops
 	}
-	for i, st := range baselineStats[shards] {
-		if i == fr.FaultShard {
-			continue
-		}
-		healthyBase += st.Ops
-	}
-	if healthyBase > 0 && baseline[shards].Elapsed > 0 && rep.Elapsed > 0 {
+	if healthyBase > 0 && base.Elapsed > 0 && rep.Elapsed > 0 {
 		fr.HealthyShardRatio = (float64(healthyOps) / rep.Elapsed.Seconds()) /
-			(float64(healthyBase) / baseline[shards].Elapsed.Seconds())
+			(float64(healthyBase) / base.Elapsed.Seconds())
 	}
 	if inc := f.Incident(fr.FaultShard); inc != nil {
 		fr.IncidentJSONBytes = len(inc.JSON())
@@ -368,36 +292,25 @@ func RunFleet(cfg FleetConfig) (*FleetResults, error) {
 // Text renders the experiment for the terminal.
 func (r *FleetResults) Text() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "==== Sharded serving fleet (docs/FLEET.md) ====\n\n")
-	fmt.Fprintf(&sb, "closed loop: %d clients x %d ops, %d keys, seed %d, %v simulated service time\n\n",
-		r.Config.Clients, r.Config.OpsPerClient, r.Config.Keys, r.Config.Seed, r.Config.ServiceLatency)
-	fmt.Fprintf(&sb, "%-7s %10s %12s %10s %10s %18s\n",
-		"shards", "ops", "ops/sec", "p50 us", "p99 us", "routing digest")
-	var base float64
-	for _, p := range r.Scaling {
-		if base == 0 {
-			base = p.OpsPerSec
-		}
-		speedup := ""
-		if base > 0 {
-			speedup = fmt.Sprintf("  (%.2fx)", p.OpsPerSec/base)
-		}
-		fmt.Fprintf(&sb, "%-7d %10d %12.0f %10.1f %10.1f %18x%s\n",
-			p.Shards, p.Done, p.OpsPerSec, p.P50US, p.P99US, p.RoutingDigest, speedup)
-	}
+	b := r.Baseline
+	sb.WriteString("Sharded serving fleet (docs/FLEET.md)\n")
+	fmt.Fprintf(&sb, "  closed loop: %d clients x %d ops, %d keys, seed %d, %d shards\n",
+		r.Clients, r.OpsPerClient, r.Keys, r.Seed, b.Shards)
+	fmt.Fprintf(&sb, "  fault-free baseline:  %d ops, %.0f ops/sec, p50 %.1f us, p99 %.1f us, routing digest %x\n",
+		b.Done, b.OpsPerSec, b.P50US, b.P99US, b.RoutingDigest)
 	if f := r.Fault; f != nil {
-		fmt.Fprintf(&sb, "\nmid-run hard fault (shard %d of %d, key %d, at op %d):\n",
-			f.FaultShard, f.Shards, f.FaultKey, f.InjectedAtOp)
-		fmt.Fprintf(&sb, "  healed online:        %v (mitigations %d, recovered %d)\n",
+		fmt.Fprintf(&sb, "  mid-run hard fault (shard %d of %d, key %d, at op %d):\n",
+			f.FaultShard, b.Shards, f.FaultKey, f.InjectedAtOp)
+		fmt.Fprintf(&sb, "    healed online:        %v (mitigations %d, recovered %d)\n",
 			f.Healed, f.Mitigations, f.Recovered)
-		fmt.Fprintf(&sb, "  fleet ops/sec:        %.0f (fault-free baseline %.0f)\n",
-			f.OpsPerSec, f.BaselineOpsPerSec)
-		fmt.Fprintf(&sb, "  healthy-shard ratio:  %.2f (non-faulted shards vs baseline)\n",
+		fmt.Fprintf(&sb, "    fleet ops/sec:        %.0f (fault-free baseline %.0f)\n",
+			f.OpsPerSec, b.OpsPerSec)
+		fmt.Fprintf(&sb, "    healthy-shard ratio:  %.2f (non-faulted shards vs baseline)\n",
 			f.HealthyShardRatio)
-		fmt.Fprintf(&sb, "  refusals/traps:       %d unavailable, %d trapped of %d ops\n",
+		fmt.Fprintf(&sb, "    refusals/traps:       %d unavailable, %d trapped of %d ops\n",
 			f.Unavailable, f.Traps, f.Done)
 		if f.IncidentJSONBytes > 0 {
-			fmt.Fprintf(&sb, "  incident report:      %d bytes (arthas-incident/v1)\n", f.IncidentJSONBytes)
+			fmt.Fprintf(&sb, "    incident report:      %d bytes (arthas-incident/v1)\n", f.IncidentJSONBytes)
 		}
 	}
 	return sb.String()

@@ -5,21 +5,16 @@ import (
 	"encoding/json"
 	"strings"
 	"testing"
-	"time"
 )
 
-// smallFleetConfig keeps the experiment fast enough for the unit suite: the
-// near-zero service latency disables the scaling-demonstration sleeps (the
-// default 50µs is for the real bench), and the tiny op counts still cross
-// the mid-run injection point.
+// smallFleetConfig keeps the experiment fast enough for the unit suite; the
+// tiny op counts still cross the mid-run injection point.
 func smallFleetConfig() FleetConfig {
 	return FleetConfig{
-		ShardCounts:    []int{1, 2},
-		Clients:        2,
-		OpsPerClient:   80,
-		Keys:           40,
-		Seed:           7,
-		ServiceLatency: time.Nanosecond,
+		Clients:      2,
+		OpsPerClient: 80,
+		Keys:         40,
+		Seed:         7,
 	}
 }
 
@@ -28,16 +23,12 @@ func TestRunFleetSmall(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Scaling) != 2 {
-		t.Fatalf("scaling points: %d", len(res.Scaling))
+	b := res.Baseline
+	if b.Done != 160 || b.Errors != 0 || b.Shards != fleetShards {
+		t.Fatalf("baseline %+v", b)
 	}
-	for _, p := range res.Scaling {
-		if p.Done != 160 || p.Errors != 0 {
-			t.Fatalf("point %+v", p)
-		}
-		if p.P99US < p.P50US {
-			t.Fatalf("p99 < p50 in %+v", p)
-		}
+	if b.P99US < b.P50US {
+		t.Fatalf("p99 < p50 in %+v", b)
 	}
 	f := res.Fault
 	if f == nil {
@@ -56,15 +47,15 @@ func TestRunFleetSmall(t *testing.T) {
 		t.Fatalf("injected too early: op %d of %d", f.InjectedAtOp, f.Done)
 	}
 	text := res.Text()
-	for _, want := range []string{"Sharded serving fleet", "healed online", "healthy-shard ratio"} {
+	for _, want := range []string{"Sharded serving fleet", "fault-free baseline", "healed online", "healthy-shard ratio"} {
 		if !strings.Contains(text, want) {
 			t.Fatalf("text missing %q:\n%s", want, text)
 		}
 	}
 }
 
-// TestRunFleetDeterministic is the bench determinism contract: same seed and
-// shard counts ⇒ identical routing digests and identical end-state digests.
+// TestRunFleetDeterministic is the bench determinism contract: same seed ⇒
+// identical routing digests and identical end-state digests.
 func TestRunFleetDeterministic(t *testing.T) {
 	a, err := RunFleet(smallFleetConfig())
 	if err != nil {
@@ -74,33 +65,40 @@ func TestRunFleetDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range a.Scaling {
-		if a.Scaling[i].RoutingDigest != b.Scaling[i].RoutingDigest {
-			t.Fatalf("routing digest differs at %d shards", a.Scaling[i].Shards)
-		}
-		if a.Scaling[i].StateDigest != b.Scaling[i].StateDigest {
-			t.Fatalf("state digest differs at %d shards", a.Scaling[i].Shards)
-		}
+	if a.Baseline.RoutingDigest != b.Baseline.RoutingDigest {
+		t.Fatal("routing digest differs between runs")
+	}
+	if a.Baseline.StateDigest != b.Baseline.StateDigest {
+		t.Fatal("state digest differs between runs")
 	}
 	// Different shard counts route differently (the digest covers the
 	// assignment, not just the stream).
-	if a.Scaling[0].RoutingDigest == a.Scaling[1].RoutingDigest {
+	if routingDigest(smallFleetConfig(), 1) == routingDigest(smallFleetConfig(), 2) {
 		t.Fatal("routing digest ignores shard count")
 	}
 }
 
+// TestFleetJSONDoc runs the fleet unit through the assembler: the document
+// holds the schema and the fleet section, nothing else.
 func TestFleetJSONDoc(t *testing.T) {
-	res, err := RunFleet(smallFleetConfig())
+	rep, err := Run("fleet", Config{Clients: 2, Ops: 80})
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := res.WriteJSON(&buf); err != nil {
+	if err := rep.Write(&buf); err != nil {
 		t.Fatal(err)
 	}
+	var keys map[string]json.RawMessage
+	if err := json.Unmarshal(buf.Bytes(), &keys); err != nil {
+		t.Fatal(err)
+	}
+	if len(keys) != 2 || keys["schema"] == nil || keys["fleet"] == nil {
+		t.Fatalf("document sections: %s", buf.Bytes())
+	}
 	var doc struct {
-		Schema string     `json:"schema"`
-		Fleet  *JSONFleet `json:"fleet"`
+		Schema string        `json:"schema"`
+		Fleet  *FleetResults `json:"fleet"`
 	}
 	if err := json.Unmarshal(buf.Bytes(), &doc); err != nil {
 		t.Fatal(err)
@@ -108,10 +106,13 @@ func TestFleetJSONDoc(t *testing.T) {
 	if doc.Schema != JSONSchema {
 		t.Fatalf("schema %q", doc.Schema)
 	}
-	if doc.Fleet == nil || len(doc.Fleet.Scaling) != 2 || doc.Fleet.Fault == nil {
+	if doc.Fleet == nil || doc.Fleet.Clients != 2 || doc.Fleet.Baseline.Done != 160 || doc.Fleet.Fault == nil {
 		t.Fatalf("fleet doc: %+v", doc.Fleet)
 	}
 	if !doc.Fleet.Fault.Healed {
 		t.Fatal("fault run not healed in JSON doc")
+	}
+	if !strings.Contains(rep.Text(), "Sharded serving fleet") {
+		t.Fatalf("fleet text:\n%s", rep.Text())
 	}
 }

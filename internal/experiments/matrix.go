@@ -1,11 +1,13 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§6) from the reproduced systems, faults, and solutions. Each
-// experiment has a Run function returning structured results plus a
-// paper-style text rendering; cmd/arthas-bench drives them, and the root
-// bench_test.go wraps each in a testing.B benchmark.
+// experiment has one function returning structured results plus
+// paper-style text renderings; run.go declares each as a unit of the one
+// assembler cmd/arthas-bench drives, and the root bench_test.go wraps
+// each in a testing.B benchmark.
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -269,12 +271,12 @@ func (m *Matrix) Fig8() string {
 	var aSum, cSum, pSum float64
 	var aN, cN, pN int
 	for _, c := range m.Cases {
-		ams := float64(c.Arthas.MitigationTime.Microseconds()) / 1000
+		ams := ms(c.Arthas.MitigationTime)
 		aSum += ams
 		aN++
 		cms := "n/a"
 		if c.ArCkpt.Recovered {
-			v := float64(c.ArCkpt.MitigationTime.Microseconds()) / 1000
+			v := ms(c.ArCkpt.MitigationTime)
 			cms = fmt.Sprintf("%10.2f", v)
 			cSum += v
 			cN++
@@ -282,7 +284,7 @@ func (m *Matrix) Fig8() string {
 		pms := "n/a"
 		for _, o := range c.PmCRIU {
 			if o.Recovered {
-				v := float64(o.MitigationTime.Microseconds()) / 1000
+				v := ms(o.MitigationTime)
 				pms = fmt.Sprintf("%10.2f", v)
 				pSum += v
 				pN++
@@ -359,18 +361,110 @@ func (m *Matrix) Fig11() string {
 	return sb.String()
 }
 
-// Table7 evaluates the checksum/invariant alternatives (paper Table 7 and
-// §6.6) against live failed states.
-func Table7(cfg faults.RunConfig) (string, error) {
-	var sb strings.Builder
-	sb.WriteString("Table 7. Detecting the hard failures with common invariant checks\n")
-	fmt.Fprintf(&sb, "  %-5s %-10s %-10s\n", "Fault", "Invariant", "Checksum")
+// Detection is one Table 7 row: whether the paper's common invariant check
+// and a per-item checksum catch the fault's live failed state.
+type Detection struct {
+	ID        string `json:"id"`
+	Invariant bool   `json:"invariant_detects"`
+	Checksum  bool   `json:"checksum_detects"`
+}
+
+// RunDetection evaluates the checksum/invariant alternatives (paper §6.6)
+// against every fault's live failed state.
+func RunDetection(cfg faults.RunConfig) ([]Detection, error) {
+	var out []Detection
 	for _, b := range faults.All() {
 		inv, chk, err := faults.RunDetectionAlternatives(b, cfg)
 		if err != nil {
-			return "", err
+			return nil, err
 		}
-		fmt.Fprintf(&sb, "  %-5s %-10s %-10s\n", b.ID, mark(inv), mark(chk))
+		out = append(out, Detection{ID: b.ID, Invariant: inv, Checksum: chk})
 	}
-	return sb.String(), nil
+	return out, nil
 }
+
+// Table7 renders the detection results (paper Table 7).
+func Table7(ds []Detection) string {
+	var sb strings.Builder
+	sb.WriteString("Table 7. Detecting the hard failures with common invariant checks\n")
+	fmt.Fprintf(&sb, "  %-5s %-10s %-10s\n", "Fault", "Invariant", "Checksum")
+	for _, d := range ds {
+		fmt.Fprintf(&sb, "  %-5s %-10s %-10s\n", d.ID, mark(d.Invariant), mark(d.Checksum))
+	}
+	return sb.String()
+}
+
+// jsonOutcome flattens one faults.Outcome (errors become strings).
+type jsonOutcome struct {
+	Solution      string  `json:"solution"`
+	HardFault     bool    `json:"hard_fault"`
+	Recovered     bool    `json:"recovered"`
+	Attempts      int     `json:"attempts"`
+	DataLossPct   float64 `json:"data_loss_pct"`
+	RevertedItems int     `json:"reverted_items"`
+	Consistent    bool    `json:"consistent"`
+	Inconsistency string  `json:"inconsistency,omitempty"`
+	FreedBlocks   int     `json:"freed_blocks,omitempty"`
+	MitigationMS  float64 `json:"mitigation_ms"`
+	TimedOut      bool    `json:"timed_out,omitempty"`
+}
+
+func toJSONOutcome(o *faults.Outcome) *jsonOutcome {
+	if o == nil {
+		return nil
+	}
+	j := &jsonOutcome{
+		Solution:      o.Solution,
+		HardFault:     o.HardFault,
+		Recovered:     o.Recovered,
+		Attempts:      o.Attempts,
+		DataLossPct:   o.DataLossPct,
+		RevertedItems: o.RevertedItems,
+		Consistent:    o.Consistent == nil,
+		FreedBlocks:   o.Freed,
+		MitigationMS:  ms(o.MitigationTime),
+		TimedOut:      o.TimedOut,
+	}
+	if o.Consistent != nil {
+		j.Inconsistency = o.Consistent.Error()
+	}
+	return j
+}
+
+// MarshalJSON flattens the matrix to one row per fault across all
+// solutions.
+func (m *Matrix) MarshalJSON() ([]byte, error) {
+	type jsonCase struct {
+		ID             string         `json:"id"`
+		System         string         `json:"system"`
+		Fault          string         `json:"fault"`
+		Consequence    string         `json:"consequence"`
+		IsLeak         bool           `json:"is_leak,omitempty"`
+		Arthas         *jsonOutcome   `json:"arthas"`
+		ArthasRollback *jsonOutcome   `json:"arthas_rollback"`
+		ArCkpt         *jsonOutcome   `json:"arckpt"`
+		PmCRIU         []*jsonOutcome `json:"pmcriu"`
+	}
+	out := make([]jsonCase, 0, len(m.Cases))
+	for _, c := range m.Cases {
+		jc := jsonCase{
+			ID:             c.Meta.ID,
+			System:         c.Meta.System,
+			Fault:          c.Meta.Fault,
+			Consequence:    c.Meta.Consequence,
+			IsLeak:         c.Meta.IsLeak,
+			Arthas:         toJSONOutcome(c.Arthas),
+			ArthasRollback: toJSONOutcome(c.ArthasRollback),
+			ArCkpt:         toJSONOutcome(c.ArCkpt),
+		}
+		for _, o := range c.PmCRIU {
+			jc.PmCRIU = append(jc.PmCRIU, toJSONOutcome(o))
+		}
+		out = append(out, jc)
+	}
+	return json.Marshal(out)
+}
+
+// ms converts a duration to fractional milliseconds at microsecond
+// resolution, the unit of every *_ms field and timing column.
+func ms(d time.Duration) float64 { return float64(d.Microseconds()) / 1000 }

@@ -1,9 +1,7 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -71,7 +69,8 @@ type OptimizeRow struct {
 	OpsPerSecAfter       float64 `json:"ops_per_sec_after"`
 }
 
-// OptimizeResults is the full -exp optimize output.
+// OptimizeResults is the full -exp optimize output (the document's
+// optimize section).
 type OptimizeResults struct {
 	Rows []OptimizeRow `json:"programs"`
 }
@@ -263,27 +262,4 @@ func (r *OptimizeResults) Text() string {
 	}
 	sb.WriteString("  (ratio = redundant word-persists / persisted words; the pass must never raise it)\n")
 	return sb.String()
-}
-
-// JSON flattens for JSONReport.Optimize.
-func (r *OptimizeResults) JSON() *JSONOptimize {
-	return &JSONOptimize{Programs: r.Rows}
-}
-
-// WriteJSON writes a standalone optimize-only bench document (the CI
-// optimizer job's artifact).
-func (r *OptimizeResults) WriteJSON(w io.Writer) error {
-	doc := struct {
-		Schema   string        `json:"schema"`
-		Optimize *JSONOptimize `json:"optimize"`
-	}{Schema: JSONSchema, Optimize: r.JSON()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
-// JSONOptimize is the machine-readable optimize section (schema
-// arthas-bench/v1).
-type JSONOptimize struct {
-	Programs []OptimizeRow `json:"programs"`
 }

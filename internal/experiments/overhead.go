@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -249,6 +250,31 @@ func MeasureOverhead(cfg OverheadConfig, variants []Variant) (*OverheadResults, 
 		}
 	}
 	return res, nil
+}
+
+// MarshalJSON flattens the grid, annotating each cell with its
+// vanilla-relative throughput.
+func (r *OverheadResults) MarshalJSON() ([]byte, error) {
+	type jsonThroughput struct {
+		System            string  `json:"system"`
+		Variant           string  `json:"variant"`
+		Ops               int     `json:"ops"`
+		ElapsedMS         float64 `json:"elapsed_ms"`
+		OpsPerSec         float64 `json:"ops_per_sec"`
+		RelativeToVanilla float64 `json:"relative_to_vanilla"`
+	}
+	out := make([]jsonThroughput, 0, len(r.Cells))
+	for _, c := range r.Cells {
+		out = append(out, jsonThroughput{
+			System:            c.System,
+			Variant:           string(c.Variant),
+			Ops:               c.Ops,
+			ElapsedMS:         ms(c.Elapsed),
+			OpsPerSec:         c.OpsPerSec(),
+			RelativeToVanilla: r.Relative(c.System, c.Variant),
+		})
+	}
+	return json.Marshal(out)
 }
 
 // Fig12 renders relative throughput (paper Figure 12).

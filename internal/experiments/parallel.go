@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 
@@ -98,6 +99,31 @@ func (c *ParallelCase) Speedup() float64 {
 	return float64(c.Sequential.MitigationTime) / float64(c.Parallel.MitigationTime)
 }
 
+// MarshalJSON flattens the comparison to one row per case.
+func (pc *ParallelComparison) MarshalJSON() ([]byte, error) {
+	type jsonParallelCase struct {
+		ID           string  `json:"id"`
+		System       string  `json:"system"`
+		SequentialMS float64 `json:"sequential_ms"`
+		ParallelMS   float64 `json:"parallel_ms"`
+		Speedup      float64 `json:"speedup"`
+		OutcomeMatch bool    `json:"outcome_match"`
+	}
+	out := make([]jsonParallelCase, 0, len(pc.Cases))
+	for i := range pc.Cases {
+		c := &pc.Cases[i]
+		out = append(out, jsonParallelCase{
+			ID:           c.Meta.ID,
+			System:       c.Meta.System,
+			SequentialMS: ms(c.Sequential.MitigationTime),
+			ParallelMS:   ms(c.Parallel.MitigationTime),
+			Speedup:      c.Speedup(),
+			OutcomeMatch: c.OutcomeMatch,
+		})
+	}
+	return json.Marshal(out)
+}
+
 // Text renders the comparison as an aligned table.
 func (pc *ParallelComparison) Text() string {
 	var sb strings.Builder
@@ -112,8 +138,7 @@ func (pc *ParallelComparison) Text() string {
 		}
 		fmt.Fprintf(&sb, "%-5s %-10s %12.3f %12.3f %7.2fx %s\n",
 			c.Meta.ID, c.Meta.System,
-			float64(c.Sequential.MitigationTime.Microseconds())/1000,
-			float64(c.Parallel.MitigationTime.Microseconds())/1000,
+			ms(c.Sequential.MitigationTime), ms(c.Parallel.MitigationTime),
 			c.Speedup(), match)
 	}
 	return sb.String()

@@ -50,23 +50,23 @@ func (c ProvenanceConfig) withDefaults() ProvenanceConfig {
 // ProvenanceResults is the measured cost plus the amplification digest the
 // enabled index produced.
 type ProvenanceResults struct {
-	PersistOps  int
-	PersistSpan int
+	PersistOps  int `json:"persist_ops"`
+	PersistSpan int `json:"persist_span"`
 	// Persist hot path: checkpoint log alone vs log + lineage index.
-	BaselineMS float64
-	LineageMS  float64
+	BaselineMS float64 `json:"baseline_ms"`
+	LineageMS  float64 `json:"lineage_ms"`
 	// OverheadPct is the relative cost of stamping lineage records
 	// ((lineage/baseline - 1) × 100).
-	OverheadPct float64
+	OverheadPct float64 `json:"overhead_pct"`
 
 	// Amplification digest from the enabled run (the Bentō baseline).
-	LineageRecords      uint64
-	DistinctWords       int
-	MeanPersistsPerWord float64
-	RedundantPersists   uint64
-	RedundantRatio      float64
-	HotSiteGUID         int
-	HotSiteWords        uint64
+	LineageRecords      uint64  `json:"lineage_records"`
+	DistinctWords       int     `json:"distinct_words"`
+	MeanPersistsPerWord float64 `json:"mean_persists_per_word"`
+	RedundantPersists   uint64  `json:"redundant_persists"`
+	RedundantRatio      float64 `json:"redundant_ratio"`
+	HotSiteGUID         int     `json:"hot_site_guid"`
+	HotSiteWords        uint64  `json:"hot_site_words"`
 }
 
 // provenancePersistLoop runs the hot-path stream: fresh stores + persist,
@@ -127,9 +127,9 @@ func RunProvenance(cfg ProvenanceConfig) (*ProvenanceResults, error) {
 		if err := provenancePersistLoop(p, idx, buf, bufWords, cfg); err != nil {
 			return nil, err
 		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
+		elapsed := ms(time.Since(start))
 		if lineage {
-			res.LineageMS = ms
+			res.LineageMS = elapsed
 			st := idx.Stats()
 			res.LineageRecords = st.Records
 			res.DistinctWords = st.DistinctWords
@@ -141,7 +141,7 @@ func RunProvenance(cfg ProvenanceConfig) (*ProvenanceResults, error) {
 				res.HotSiteWords = st.Sites[0].PersistedWords
 			}
 		} else {
-			res.BaselineMS = ms
+			res.BaselineMS = elapsed
 		}
 	}
 	if res.BaselineMS > 0 {

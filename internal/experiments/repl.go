@@ -1,17 +1,12 @@
 package experiments
 
 import (
-	"encoding/json"
 	"fmt"
-	"io"
 	"strings"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"arthas/internal/fleet"
 	"arthas/internal/obs"
-	"arthas/internal/workload"
 )
 
 // The replication experiment (docs/REPLICATION.md): what does attaching a
@@ -21,54 +16,38 @@ import (
 //   - Overhead: the same closed-loop workload with replicas off and on.
 //     Shipping is the checkpoint log the primary already writes, batched at
 //     the lag bound, so the gap is the serialization + apply cost.
-//   - Lag: the max per-shard record lag sampled across the run — the bound
-//     the promote-time catch-up drain has to cover.
+//   - Lag: the per-shard record lag sampled across the run at request
+//     boundaries (repl.Status.Lag), where the shipper keeps it under the
+//     bound — the tail the promote-time catch-up drain has to cover.
 //   - Failover vs mitigation: the same mid-run hard fault healed two ways —
 //     online mitigation (replica idle), and chaos-failed mitigation forcing
 //     promotion. Both runs report time from injection to the key serving
 //     again, so the failover window is directly comparable to the
 //     mitigation window it replaces.
 
-// ReplConfig sizes the replication experiment.
+// ReplConfig sizes the replication experiment's closed loop.
 type ReplConfig struct {
-	// Shards is the fleet size (default 2).
-	Shards int
 	// Clients is the closed-loop client count (default 4).
-	Clients int
-	// OpsPerClient is each client's op count (default 400).
-	OpsPerClient int
-	// Keys is the workload keyspace (default 100).
-	Keys int
-	// Seed fixes the deterministic client streams (default 42).
-	Seed uint64
-	// MaxLag bounds how many records a standby may trail (default 8).
-	MaxLag int
-	// ServiceLatency is the simulated PM-bound per-request service time
-	// (default 20µs; see FleetConfig.ServiceLatency).
-	ServiceLatency time.Duration
+	Clients int `json:"clients"`
+	// OpsPerClient is each client's op count (default 10 000).
+	OpsPerClient int `json:"ops_per_client"`
 }
 
+// The experiment's fixed shape: fleet size, keyspace, stream seed, and the
+// record lag a standby may trail before the serving path ships.
+const (
+	replShards = 2
+	replKeys   = 100
+	replSeed   = 42
+	replMaxLag = 8
+)
+
 func (c ReplConfig) withDefaults() ReplConfig {
-	if c.Shards == 0 {
-		c.Shards = 2
-	}
 	if c.Clients == 0 {
 		c.Clients = 4
 	}
 	if c.OpsPerClient == 0 {
-		c.OpsPerClient = 400
-	}
-	if c.Keys == 0 {
-		c.Keys = 100
-	}
-	if c.Seed == 0 {
-		c.Seed = 42
-	}
-	if c.MaxLag == 0 {
-		c.MaxLag = 8
-	}
-	if c.ServiceLatency == 0 {
-		c.ServiceLatency = 20 * time.Microsecond
+		c.OpsPerClient = 10_000
 	}
 	return c
 }
@@ -97,8 +76,8 @@ type ReplLag struct {
 	P50     float64 `json:"p50"`
 	P99     float64 `json:"p99"`
 	Max     float64 `json:"max"`
-	// FinalLag is the residual lag after the run's last ship — 0 on every
-	// shard once traffic stops.
+	// FinalLag is the largest per-shard lag left at the run's last request
+	// boundary — the tail a promotion would drain once traffic stops.
 	FinalLag uint64 `json:"final_lag"`
 }
 
@@ -118,112 +97,45 @@ type ReplFailover struct {
 	OriginalValueServed bool `json:"original_value_served"`
 }
 
-// ReplResults is the full replication experiment output.
+// ReplResults is the full replication experiment output (the document's
+// repl section).
 type ReplResults struct {
-	Config   ReplConfig          `json:"-"`
+	Shards int `json:"shards"`
+	ReplConfig
+	Keys     int                 `json:"keys"`
+	Seed     uint64              `json:"seed"`
 	Overhead []ReplOverheadPoint `json:"overhead"`
 	Lag      ReplLag             `json:"lag"`
 	Failover *ReplFailover       `json:"failover"`
 }
 
-// JSONRepl is the machine-readable repl section (schema arthas-bench/v1).
-type JSONRepl struct {
-	Shards       int                 `json:"shards"`
-	Clients      int                 `json:"clients"`
-	OpsPerClient int                 `json:"ops_per_client"`
-	Keys         int                 `json:"keys"`
-	Seed         uint64              `json:"seed"`
-	Overhead     []ReplOverheadPoint `json:"overhead"`
-	Lag          ReplLag             `json:"lag"`
-	Failover     *ReplFailover       `json:"failover,omitempty"`
-}
-
-// JSON flattens the results for the bench document.
-func (r *ReplResults) JSON() *JSONRepl {
-	return &JSONRepl{
-		Shards:       r.Config.Shards,
-		Clients:      r.Config.Clients,
-		OpsPerClient: r.Config.OpsPerClient,
-		Keys:         r.Config.Keys,
-		Seed:         r.Config.Seed,
-		Overhead:     r.Overhead,
-		Lag:          r.Lag,
-		Failover:     r.Failover,
-	}
-}
-
-// WriteJSON writes a standalone repl-only bench document (the CI artifact of
-// the repl job).
-func (r *ReplResults) WriteJSON(w io.Writer) error {
-	doc := struct {
-		Schema string    `json:"schema"`
-		Repl   *JSONRepl `json:"repl"`
-	}{Schema: JSONSchema, Repl: r.JSON()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
-}
-
 // replFleet builds one experiment fleet; withReplicas is the only knob that
 // differs between the overhead points.
-func replFleet(cfg ReplConfig, name string, withReplicas, chaosFail bool) (*fleet.Fleet, error) {
+func replFleet(name string, withReplicas, chaosFail bool) (*fleet.Fleet, error) {
 	return fleet.New(fleet.Config{
-		Shards: cfg.Shards, BaseName: name,
-		ServiceLatency: cfg.ServiceLatency, Provenance: true,
-		Replicas: withReplicas, ReplMaxLag: cfg.MaxLag,
+		Shards: replShards, BaseName: name, Provenance: true,
+		Replicas: withReplicas, ReplMaxLag: replMaxLag,
 		ChaosMitigationFail: chaosFail,
 	})
-}
-
-// replDriver mirrors fleetDriver: identical streams across every run of the
-// experiment, key-derived write values so interleavings commute.
-func replDriver(cfg ReplConfig, f *fleet.Fleet) *workload.Driver {
-	return &workload.Driver{
-		Clients:      cfg.Clients,
-		OpsPerClient: cfg.OpsPerClient,
-		Shape:        workload.WorkloadA(0, cfg.Keys, cfg.Seed),
-		ErrClass:     fleet.ErrClass,
-		Do: func(_ int, op workload.Op) error {
-			if op.Kind != workload.OpRead {
-				op.Value = op.Key*2654435761 + 1
-			}
-			_, err := f.Do(op)
-			return err
-		},
-	}
-}
-
-// healTime injects a hard fault into key and measures until it serves again.
-func healTime(f *fleet.Fleet, key int64) (time.Duration, bool) {
-	if _, err := f.InjectFault(key, 5); err != nil {
-		return 0, false
-	}
-	start := time.Now()
-	deadline := start.Add(30 * time.Second)
-	for time.Now().Before(deadline) {
-		if _, err := f.Get(key); err == nil {
-			return time.Since(start), true
-		}
-		time.Sleep(100 * time.Microsecond)
-	}
-	return time.Since(start), false
 }
 
 // RunRepl executes the replication experiment.
 func RunRepl(cfg ReplConfig) (*ReplResults, error) {
 	cfg = cfg.withDefaults()
-	res := &ReplResults{Config: cfg}
+	res := &ReplResults{Shards: replShards, ReplConfig: cfg, Keys: replKeys, Seed: replSeed}
+	// The fleet experiment's driver over this experiment's streams.
+	streams := FleetConfig{Clients: cfg.Clients, OpsPerClient: cfg.OpsPerClient, Keys: replKeys, Seed: replSeed}
 
 	// Overhead: replicas off, then on, same streams. The lag histogram rides
 	// on the replicated run, sampled from the driver's tick hook.
 	var lag obs.Hist
 	var lagMu sync.Mutex
 	for _, withReplicas := range []bool{false, true} {
-		f, err := replFleet(cfg, fmt.Sprintf("repl-bench-%v", withReplicas), withReplicas, false)
+		f, err := replFleet(fmt.Sprintf("repl-bench-%v", withReplicas), withReplicas, false)
 		if err != nil {
 			return nil, err
 		}
-		d := replDriver(cfg, f)
+		d := fleetDriver(streams, f)
 		if withReplicas {
 			d.Tick = func(done int) {
 				if done%32 != 0 {
@@ -265,7 +177,7 @@ func RunRepl(cfg ReplConfig) (*ReplResults, error) {
 				}
 			}
 			res.Lag = ReplLag{
-				Bound:    cfg.MaxLag,
+				Bound:    replMaxLag,
 				Samples:  lag.Count,
 				P50:      lag.Quantile(0.5),
 				P99:      lag.Quantile(0.99),
@@ -283,9 +195,9 @@ func RunRepl(cfg ReplConfig) (*ReplResults, error) {
 	// Failover vs mitigation: identical fleets, identical fault, the only
 	// difference is whether mitigation is allowed to succeed.
 	fo := &ReplFailover{}
-	faultKey := fleetFaultKey(cfg.Shards)
+	faultKey := fleetFaultKey(replShards)
 	for _, chaos := range []bool{false, true} {
-		f, err := replFleet(cfg, fmt.Sprintf("repl-heal-%v", chaos), true, chaos)
+		f, err := replFleet(fmt.Sprintf("repl-heal-%v", chaos), true, chaos)
 		if err != nil {
 			return nil, err
 		}
@@ -293,16 +205,14 @@ func RunRepl(cfg ReplConfig) (*ReplResults, error) {
 			return nil, err
 		}
 		// Warm state so promotion replays a real log, not just one record.
-		var warm atomic.Int64
-		d := replDriver(cfg, f)
+		d := fleetDriver(streams, f)
 		d.OpsPerClient = 50
-		d.Tick = func(int) { warm.Add(1) }
 		if rep := d.Run(); rep.Errors != 0 {
 			return nil, fmt.Errorf("repl: warmup had %d errors", rep.Errors)
 		}
 		heal, ok := healTime(f, faultKey)
 		if chaos {
-			fo.FailoverHealMS = float64(heal.Microseconds()) / 1000
+			fo.FailoverHealMS = ms(heal)
 			fo.FailoverHealed = ok
 			if v, err := f.Get(faultKey); err == nil && v == 31337 {
 				fo.OriginalValueServed = true
@@ -311,7 +221,7 @@ func RunRepl(cfg ReplConfig) (*ReplResults, error) {
 				fo.Promotions += st.Promotions
 			}
 		} else {
-			fo.MitigationHealMS = float64(heal.Microseconds()) / 1000
+			fo.MitigationHealMS = ms(heal)
 			fo.MitigationHealed = ok
 		}
 	}
@@ -322,10 +232,9 @@ func RunRepl(cfg ReplConfig) (*ReplResults, error) {
 // Text renders the experiment for the terminal.
 func (r *ReplResults) Text() string {
 	var sb strings.Builder
-	fmt.Fprintf(&sb, "==== Replicated pools (docs/REPLICATION.md) ====\n\n")
+	sb.WriteString("Replicated pools (docs/REPLICATION.md)\n")
 	fmt.Fprintf(&sb, "closed loop: %d shards, %d clients x %d ops, %d keys, seed %d, lag bound %d\n\n",
-		r.Config.Shards, r.Config.Clients, r.Config.OpsPerClient, r.Config.Keys,
-		r.Config.Seed, r.Config.MaxLag)
+		r.Shards, r.Clients, r.OpsPerClient, r.Keys, r.Seed, r.Lag.Bound)
 	fmt.Fprintf(&sb, "%-10s %10s %12s %10s %10s\n", "replicas", "ops", "ops/sec", "p50 us", "p99 us")
 	var base float64
 	for _, p := range r.Overhead {

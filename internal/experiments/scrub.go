@@ -65,26 +65,26 @@ func (c ScrubConfig) withDefaults() ScrubConfig {
 type ScrubResults struct {
 	// Persist hot path: identical store+persist streams with incremental
 	// checksum maintenance off (baseline) and on.
-	PersistOps    int
-	PersistSpan   int
-	BaselineMS    float64
-	ChecksummedMS float64
+	PersistOps    int     `json:"persist_ops"`
+	PersistSpan   int     `json:"persist_span"`
+	BaselineMS    float64 `json:"baseline_ms"`
+	ChecksummedMS float64 `json:"checksummed_ms"`
 	// OverheadPct is the relative persist-path cost of maintaining seals
 	// ((checksummed/baseline - 1) × 100; the target is < 5%).
-	OverheadPct float64
+	OverheadPct float64 `json:"overhead_pct"`
 
 	// Full-pool seal scan (VerifyMedia: recompute every block checksum).
-	ScanPasses     int
-	ScanWords      int
-	ScanWordsPerMS float64
+	ScanPasses     int     `json:"scan_passes"`
+	ScanWords      int     `json:"scan_words"`
+	ScanWordsPerMS float64 `json:"scan_words_per_ms"`
 
 	// Scrub-and-heal cycle: FaultBlocks bit flips injected, then
 	// scrub.Repair rolls the poisoned words forward from the checkpoint log.
-	Cycles        int
-	FaultBlocks   int
-	RepairMeanMS  float64
-	RepairedWords int
-	AllHealed     bool
+	Cycles        int     `json:"cycles"`
+	FaultBlocks   int     `json:"fault_blocks"`
+	RepairMeanMS  float64 `json:"repair_mean_ms"`
+	RepairedWords int     `json:"repaired_words"`
+	AllHealed     bool    `json:"all_healed"`
 }
 
 // persistLoop runs the hot-path stream: cycle over the buffer storing fresh
@@ -133,11 +133,11 @@ func RunScrub(cfg ScrubConfig) (*ScrubResults, error) {
 		if err := persistLoop(p, buf, bufWords, cfg); err != nil {
 			return nil, err
 		}
-		ms := float64(time.Since(start).Microseconds()) / 1000
+		elapsed := ms(time.Since(start))
 		if maintain {
-			res.ChecksummedMS = ms
+			res.ChecksummedMS = elapsed
 		} else {
-			res.BaselineMS = ms
+			res.BaselineMS = elapsed
 		}
 	}
 	if res.BaselineMS > 0 {
@@ -160,7 +160,7 @@ func RunScrub(cfg ScrubConfig) (*ScrubResults, error) {
 			return nil, fmt.Errorf("scrub bench: clean pool failed scan: %v", merr)
 		}
 	}
-	scanMS := float64(time.Since(start).Microseconds()) / 1000
+	scanMS := ms(time.Since(start))
 	if scanMS > 0 {
 		res.ScanWordsPerMS = float64(res.ScanWords*cfg.ScanPasses) / scanMS
 	}
@@ -198,7 +198,7 @@ func RunScrub(cfg ScrubConfig) (*ScrubResults, error) {
 			res.AllHealed = false
 		}
 	}
-	res.RepairMeanMS = float64(repairTotal.Microseconds()) / 1000 / float64(cfg.Cycles)
+	res.RepairMeanMS = ms(repairTotal) / float64(cfg.Cycles)
 	return res, nil
 }
 

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"encoding/json"
 	"fmt"
 	"strings"
 	"time"
@@ -65,6 +66,21 @@ func MeasureStatic() ([]StaticTiming, error) {
 		out = append(out, t)
 	}
 	return out, nil
+}
+
+// MarshalJSON renders the row with millisecond timings.
+func (t StaticTiming) MarshalJSON() ([]byte, error) {
+	return json.Marshal(struct {
+		System       string  `json:"system"`
+		Functions    int     `json:"functions"`
+		Instructions int     `json:"instructions"`
+		PMInstrs     int     `json:"pm_instrs"`
+		PDGEdges     int     `json:"pdg_edges"`
+		AnalysisMS   float64 `json:"analysis_ms"`
+		InstrumentMS float64 `json:"instrument_ms"`
+		SlicingMS    float64 `json:"slicing_ms"`
+	}{t.System, t.Functions, t.Instructions, t.PMInstrs, t.PDGEdges,
+		ms(t.Analysis), ms(t.Instrument), ms(t.Slicing)})
 }
 
 // Table9 renders the timings.

@@ -82,14 +82,6 @@ type Config struct {
 	// RestartLatency simulates real per-shard restart cost, making the
 	// degraded-serving window observable in benchmarks.
 	RestartLatency time.Duration
-	// ServiceLatency simulates the PM-bound service time of one request,
-	// spent while holding the shard's serving lock. The simulator's VM runs
-	// ops in microseconds of pure CPU, which a single core serializes no
-	// matter how many shards exist; modeling the media access time a real
-	// deployment would spend per request restores the property the sharded
-	// architecture actually provides — requests on different shards overlap,
-	// requests on one shard serialize. 0 (the default) disables.
-	ServiceLatency time.Duration
 	// Provenance enables per-shard write-lineage tracking; recovered
 	// mitigations then publish `arthas-incident/v1` reports (Incident).
 	Provenance bool

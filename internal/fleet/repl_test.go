@@ -366,3 +366,48 @@ func TestConcurrentInjectPromoteRace(t *testing.T) {
 		t.Fatalf("final digest: %v", err)
 	}
 }
+
+// TestReplLagSampledUnderBound samples replication status as fast as it
+// can while concurrent clients write. The lag it reports is taken at
+// request boundaries, where the shipper has already shipped any standby
+// trailing by the bound, so no sample may reach the bound — even one that
+// lands mid-request, after the call appended records and before it
+// shipped them.
+func TestReplLagSampledUnderBound(t *testing.T) {
+	const maxLag = 8
+	f := newReplFleet(t, 2, func(c *Config) { c.ReplMaxLag = maxLag })
+	var wg sync.WaitGroup
+	for c := int64(0); c < 4; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := int64(0); i < 400; i++ {
+				if err := f.Put(c*1000+i%50, i); err != nil {
+					t.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	var samples int
+	var worst uint64
+	for running := true; running; {
+		select {
+		case <-done:
+			running = false
+		default:
+		}
+		for _, st := range f.ReplStatus() {
+			samples++
+			if st.Lag > worst {
+				worst = st.Lag
+			}
+		}
+	}
+	if worst >= maxLag {
+		t.Fatalf("sampled lag %d, want < ReplMaxLag %d (%d samples)", worst, maxLag, samples)
+	}
+	t.Logf("%d samples, max lag %d", samples, worst)
+}

@@ -202,12 +202,6 @@ func (s *Shard) do(fn string, args ...int64) (int64, error) {
 		s.unavail.Add(1)
 		return 0, &UnavailableError{Shard: s.ID, State: st}
 	}
-	if lat := s.fleet.cfg.ServiceLatency; lat > 0 {
-		// Simulated PM-bound service time, spent inside the shard's serving
-		// lock: one shard serializes it, sibling shards overlap it (see
-		// Config.ServiceLatency).
-		time.Sleep(lat)
-	}
 	v, trap := s.inst.Call(fn, args...)
 	if trap == nil {
 		s.ops.Add(1)

@@ -250,8 +250,12 @@ func (r *Replica) Apply(op checkpoint.StreamOp) error {
 // Status is a session's externally visible replication state.
 type Status struct {
 	// Seq is the last stream sequence the primary generated; Acked the
-	// last the replica applied; Lag their difference plus unshipped
-	// pending records.
+	// last the replica applied. Lag is how far the replica trailed at the
+	// last request boundary: the lag Due decided was under the bound, or
+	// what the last Ship left. A request in flight appends records that
+	// Seq shows at once, so sampling Seq-Acked from outside the serving
+	// lock can catch a lag the shipper is about to clear; Lag cannot
+	// (Session.Lag is the live difference).
 	Seq   uint64 `json:"seq"`
 	Acked uint64 `json:"acked"`
 	Lag   uint64 `json:"lag"`
@@ -322,7 +326,8 @@ func (s *Session) MarkDirty() { s.sh.MarkDirty() }
 // Due reports whether a Ship is warranted under the given lag bound: the
 // replica trails by maxLag or more records, a snapshot resync is owed
 // (dirty stream or no replica), and the session is not sealed. The serving
-// path calls this per operation, so it must stay cheap.
+// path calls this per operation, so it must stay cheap; a lag found under
+// the bound becomes Status.Lag.
 func (s *Session) Due(maxLag uint64) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -341,7 +346,12 @@ func (s *Session) Due(maxLag uint64) bool {
 	if maxLag == 0 {
 		maxLag = 1
 	}
-	return s.sh.Seq()-s.acked >= maxLag
+	lag := s.sh.Seq() - s.acked
+	if lag >= maxLag {
+		return true // the Ship that follows records the lag it leaves
+	}
+	s.stats.Lag = lag
+	return false
 }
 
 // Status snapshots the session's replication state.
@@ -351,7 +361,6 @@ func (s *Session) Status() Status {
 	st := s.stats
 	st.Seq = s.sh.Seq()
 	st.Acked = s.acked
-	st.Lag = st.Seq - st.Acked
 	st.Connected = s.replica != nil
 	s.sh.mu.Lock()
 	st.Dirty = s.sh.dirty
@@ -420,7 +429,9 @@ func (s *Session) Ship() error {
 	if s.sealed {
 		return nil
 	}
-	return s.shipLocked(4)
+	err := s.shipLocked(4)
+	s.stats.Lag = s.sh.Seq() - s.acked
+	return err
 }
 
 func (s *Session) shipLocked(attempts int) error {
