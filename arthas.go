@@ -409,7 +409,7 @@ func (i *Instance) Fork() *Instance {
 		Analysis: i.Analysis,
 		Pool:     i.Pool.Fork(),
 		Log:      i.Log.Fork(),
-		Trace:    trace.New(),
+		Trace:    trace.NewWithoutReads(),
 		Detector: detector.New(),
 		OptStats: i.OptStats,
 		obsSink:  obs.Nop(),

@@ -11,7 +11,7 @@ import (
 	"testing"
 )
 
-func loadFixture(t *testing.T, name string) *Instance {
+func loadFixture(t testing.TB, name string) *Instance {
 	t.Helper()
 	src, err := os.ReadFile(filepath.Join("testdata", name))
 	if err != nil {

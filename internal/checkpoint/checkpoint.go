@@ -18,6 +18,7 @@ package checkpoint
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -350,20 +351,36 @@ func (l *Log) SeqsInTx(tx uint64) []uint64 {
 	return out
 }
 
-// SeqsCovering returns the sequence numbers of every version of every entry
-// whose range covers addr (the join used when mapping trace addresses to
-// checkpoint entries).
-func (l *Log) SeqsCovering(addr uint64) []uint64 {
-	var out []uint64
+// SeqsCovering returns, for each of addrs, the ascending sequence numbers
+// of every version of every entry whose range covers it — the join used
+// when mapping trace addresses to checkpoint entries. An address no entry
+// covers is absent from the result. It is one pass over the log however
+// many addresses are asked, so callers batch every address they need.
+func (l *Log) SeqsCovering(addrs []uint64) map[uint64][]uint64 {
+	out := map[uint64][]uint64{}
+	if len(addrs) == 0 {
+		return out
+	}
+	sorted := slices.Clone(addrs)
+	slices.Sort(sorted)
+	sorted = slices.Compact(sorted)
+	lo, hi := sorted[0], sorted[len(sorted)-1]
 	for _, k := range l.order {
-		if addr < k.addr || addr >= k.addr+uint64(k.words) {
+		end := k.addr + uint64(k.words)
+		if end <= lo || k.addr > hi {
 			continue
 		}
-		for _, v := range l.entries[k].Versions {
-			out = append(out, v.Seq)
+		i, _ := slices.BinarySearch(sorted, k.addr)
+		for ; i < len(sorted) && sorted[i] < end; i++ {
+			a := sorted[i]
+			for _, v := range l.entries[k].Versions {
+				out[a] = append(out[a], v.Seq)
+			}
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	for _, seqs := range out {
+		slices.Sort(seqs)
+	}
 	return out
 }
 

@@ -1,6 +1,9 @@
 package checkpoint
 
 import (
+	"math/rand"
+	"reflect"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -222,14 +225,53 @@ func TestSeqsCovering(t *testing.T) {
 	pool.Store(a+3, 3)
 	pool.Persist(a+3, 1) // seq 2 covers a+3
 
-	if got := log.SeqsCovering(a + 1); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("SeqsCovering(a+1) = %v", got)
+	got := log.SeqsCovering([]uint64{a + 3, a + 1, a + 2, a + 1})
+	want := map[uint64][]uint64{a + 1: {1}, a + 3: {2}} // a+2: none
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("SeqsCovering = %v, want %v", got, want)
 	}
-	if got := log.SeqsCovering(a + 2); got != nil {
-		t.Fatalf("SeqsCovering(a+2) = %v, want none", got)
+	if got := log.SeqsCovering(nil); len(got) != 0 {
+		t.Fatalf("SeqsCovering(nil) = %v, want empty", got)
 	}
-	if got := log.SeqsCovering(a + 3); len(got) != 1 || got[0] != 2 {
-		t.Fatalf("SeqsCovering(a+3) = %v", got)
+}
+
+// seqsCoveringOracle is the per-address scan the batched SeqsCovering
+// replaced: every version of every entry covering addr, ascending.
+func seqsCoveringOracle(l *Log, addr uint64) []uint64 {
+	var out []uint64
+	for _, e := range l.Entries() {
+		if addr < e.Addr || addr >= e.Addr+uint64(e.Words) {
+			continue
+		}
+		for _, v := range e.Versions {
+			out = append(out, v.Seq)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	return out
+}
+
+// One pass for a batch of addresses answers exactly what one scan per
+// address did, over overlapping ranges of several sizes whose oldest
+// versions have been dropped.
+func TestSeqsCoveringMatchesPerAddressScan(t *testing.T) {
+	pool, log := newRig(3)
+	a, _ := pool.Alloc(32)
+	rng := rand.New(rand.NewSource(1))
+	for i := 0; i < 400; i++ {
+		off, words := rng.Intn(28), 1+rng.Intn(4)
+		pool.Store(a+uint64(off), uint64(i))
+		pool.Persist(a+uint64(off), words)
+	}
+	var addrs []uint64
+	for w := uint64(0); w < 40; w++ {
+		addrs = append(addrs, a-4+w)
+	}
+	got := log.SeqsCovering(addrs)
+	for _, addr := range addrs {
+		if want := seqsCoveringOracle(log, addr); !reflect.DeepEqual(got[addr], want) {
+			t.Fatalf("SeqsCovering[%#x] = %v, want %v", addr, got[addr], want)
+		}
 	}
 }
 

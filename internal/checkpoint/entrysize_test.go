@@ -52,11 +52,12 @@ func TestSeqsCoveringAcrossEntrySizes(t *testing.T) {
 	pool.Store(root, 2)
 	pool.Persist(root, 1) // seq 2 covers root only
 
-	if got := log.SeqsCovering(root); len(got) != 2 {
-		t.Fatalf("SeqsCovering(root) = %v, want both entries", got)
+	got := log.SeqsCovering([]uint64{root, root + 1})
+	if len(got[root]) != 2 {
+		t.Fatalf("SeqsCovering[root] = %v, want both entries", got[root])
 	}
-	if got := log.SeqsCovering(root + 1); len(got) != 1 || got[0] != 1 {
-		t.Fatalf("SeqsCovering(root+1) = %v", got)
+	if c := got[root+1]; len(c) != 1 || c[0] != 1 {
+		t.Fatalf("SeqsCovering[root+1] = %v", c)
 	}
 }
 

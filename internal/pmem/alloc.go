@@ -27,6 +27,11 @@ func (p *Pool) Alloc(words int) (uint64, error) {
 	if words <= 0 {
 		words = 1
 	}
+	// Reject what can never fit before allocIndex's arithmetic (next+words+1)
+	// can overflow on it.
+	if words > p.words {
+		return 0, fmt.Errorf("%w: need %d words, pool holds %d", ErrOutOfSpace, words, p.words)
+	}
 	idx, err := p.allocIndex(words)
 	if err != nil {
 		return 0, err

@@ -2,6 +2,7 @@ package pmem
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -252,6 +253,20 @@ func TestOutOfSpace(t *testing.T) {
 	}
 	if !errors.Is(lastErr, ErrOutOfSpace) {
 		t.Fatalf("expected ErrOutOfSpace, got %v", lastErr)
+	}
+}
+
+// A size larger than the pool is refused before the allocator's arithmetic
+// can overflow on it, and leaves the allocator as it was.
+func TestHugeAllocOutOfSpace(t *testing.T) {
+	p := New(1024)
+	for _, words := range []int{math.MaxInt, math.MaxInt - 1, 1025} {
+		if _, err := p.Zalloc(words); !errors.Is(err, ErrOutOfSpace) {
+			t.Fatalf("Zalloc(%d) err = %v, want ErrOutOfSpace", words, err)
+		}
+	}
+	if _, err := p.Zalloc(1); err != nil {
+		t.Fatalf("Zalloc(1) after a refused size: %v", err)
 	}
 }
 

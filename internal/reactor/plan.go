@@ -73,13 +73,16 @@ func ComputePlan(res *analysis.Result, tr *trace.Trace, log *checkpoint.Log,
 	plan := &Plan{Faults: faults}
 
 	// Merge slice nodes across faults, keeping each instruction's minimum
-	// distance to any fault.
+	// distance to any fault. Each node's traced addresses are fetched once,
+	// in last-touch order: their count is the node's fan-out, and the list
+	// itself is the node's candidate walk below.
 	type nodeInfo struct {
-		guid   int
-		dist   int
-		fanout int // distinct dynamic addresses this instruction touched
+		guid  int
+		dist  int
+		addrs []uint64 // distinct dynamic addresses, most recent first
 	}
 	var merged []nodeInfo
+	var touched []uint64            // every node's addresses, for one covering query
 	seenNode := map[*ir.Instr]int{} // instr -> index in merged
 	for _, fault := range faults {
 		if fault == nil {
@@ -99,14 +102,9 @@ func ComputePlan(res *analysis.Result, tr *trace.Trace, log *checkpoint.Log,
 				continue
 			}
 			seenNode[n.Instr] = len(merged)
-			merged = append(merged, nodeInfo{
-				guid: n.Instr.GUID,
-				dist: n.Dist,
-				// Fan-out over ALL traced accesses (reads included): a
-				// node that only ever touched one address is the most
-				// specific suspect.
-				fanout: len(tr.AddrsOfGUIDByRecency(n.Instr.GUID)),
-			})
+			addrs := tr.AddrsOfGUIDByRecency(n.Instr.GUID)
+			touched = append(touched, addrs...)
+			merged = append(merged, nodeInfo{guid: n.Instr.GUID, dist: n.Dist, addrs: addrs})
 		}
 	}
 	// Order: most-specific nodes first. A slice node "may be invoked many
@@ -114,23 +112,25 @@ func ComputePlan(res *analysis.Result, tr *trace.Trace, log *checkpoint.Log,
 	// instruction that touched one address (a one-shot config write, a
 	// special command) is a far more specific suspect than a hot-path
 	// access aliasing hundreds of checkpoint entries, so low trace fan-out
-	// leads; slice distance breaks ties (nearest dependencies first).
+	// (over ALL traced accesses, reads included) leads; slice distance
+	// breaks ties (nearest dependencies first).
 	sort.SliceStable(merged, func(i, j int) bool {
-		if merged[i].fanout != merged[j].fanout {
-			return merged[i].fanout < merged[j].fanout
+		if len(merged[i].addrs) != len(merged[j].addrs) {
+			return len(merged[i].addrs) < len(merged[j].addrs)
 		}
 		return merged[i].dist < merged[j].dist
 	})
 
+	covering := log.SeqsCovering(touched)
 	seen := map[uint64]bool{}
 	for _, node := range merged {
-		// Gather this node's dynamic addresses in last-touch order (the
-		// failing execution touched the contaminated state last), then
-		// each address's checkpoint sequence numbers, newest first.
-		for _, addr := range tr.AddrsOfGUIDByRecency(node.guid) {
-			covering := log.SeqsCovering(addr)
-			for i := len(covering) - 1; i >= 0; i-- {
-				s := covering[i]
+		// Walk this node's addresses in last-touch order (the failing
+		// execution touched the contaminated state last), then each
+		// address's checkpoint sequence numbers, newest first.
+		for _, addr := range node.addrs {
+			seqs := covering[addr]
+			for i := len(seqs) - 1; i >= 0; i-- {
+				s := seqs[i]
 				if !seen[s] {
 					seen[s] = true
 					plan.Candidates = append(plan.Candidates,

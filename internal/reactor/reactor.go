@@ -557,13 +557,23 @@ func purgeForward(ctx *Context, cand Candidate) int {
 	}
 	direct := append([]*ir.Instr(nil), ctx.Analysis.PDG.DataSuccs[src]...)
 	direct = append(direct, ctx.Analysis.PDG.MemSuccs[src]...)
-	total := 0
-	for _, in := range direct {
+	// Each dependent's traced addresses, then one covering query for all
+	// of them: reversion steps live cursors but never changes which
+	// versions cover an address, so the answers hold across the pass.
+	addrs := make([][]uint64, len(direct))
+	var touched []uint64
+	for i, in := range direct {
 		if in == src || in.GUID == 0 {
 			continue
 		}
-		for _, addr := range ctx.Trace.AddrsOfGUID(in.GUID) {
-			for _, s := range ctx.Log.SeqsCovering(addr) {
+		addrs[i] = ctx.Trace.AddrsOfGUID(in.GUID)
+		touched = append(touched, addrs[i]...)
+	}
+	covering := ctx.Log.SeqsCovering(touched)
+	total := 0
+	for i := range direct {
+		for _, addr := range addrs[i] {
+			for _, s := range covering[addr] {
 				if s > cand.Seq {
 					n, err := ctx.Log.Revert(ctx.Pool, s)
 					if err == nil {

@@ -73,9 +73,17 @@ const ringSize = 1 << 16
 
 // New creates a trace with the default buffer size.
 func New() *Trace {
+	t := NewWithoutReads()
+	t.ring = make([]Event, ringSize)
+	return t
+}
+
+// NewWithoutReads creates a trace with no read ring, for an instance whose
+// machine is never wired to RecordRead (a fork, whose trace layer is
+// detached): it answers every query, but RecordRead on it panics.
+func NewWithoutReads() *Trace {
 	return &Trace{
 		BufSize:   4096,
-		ring:      make([]Event, ringSize),
 		byGUID:    map[int][]uint64{},
 		byAddr:    map[uint64][]int{},
 		lastTouch: map[int]map[uint64]uint64{},

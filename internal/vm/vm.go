@@ -40,8 +40,6 @@ import (
 
 // Config tunes a Machine.
 type Config struct {
-	// VHeapWords sizes the volatile heap (default 1<<20 words).
-	VHeapWords int
 	// StepLimit bounds the instructions executed by a single Call
 	// (default 50M). Exceeding it raises TrapStepLimit — hang detection.
 	StepLimit int64
@@ -53,9 +51,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.VHeapWords == 0 {
-		c.VHeapWords = 1 << 20
-	}
 	if c.StepLimit == 0 {
 		c.StepLimit = 50_000_000
 	}
@@ -198,7 +193,7 @@ func New(mod *ir.Module, pool *pmem.Pool, cfg Config) *Machine {
 		Mod:            mod,
 		Pool:           pool,
 		cfg:            cfg,
-		vheap:          newVHeap(cfg.VHeapWords),
+		vheap:          newVHeap(),
 		RecoveryAccess: map[uint64]bool{},
 		sink:           obs.Nop(),
 	}
