@@ -56,7 +56,7 @@ func planOracle(res *analysis.Result, tr *trace.Trace, log *checkpoint.Log,
 				continue
 			}
 			seenNode[n.Instr] = len(merged)
-			merged = append(merged, nodeInfo{n.Instr.GUID, n.Dist, len(tr.AddrsOfGUIDByRecency(n.Instr.GUID))})
+			merged = append(merged, nodeInfo{n.Instr.GUID, n.Dist, len(tr.AddrsByRecency([]int{n.Instr.GUID})[0])})
 		}
 	}
 	sort.SliceStable(merged, func(i, j int) bool {
@@ -68,7 +68,7 @@ func planOracle(res *analysis.Result, tr *trace.Trace, log *checkpoint.Log,
 	var out []reactor.Candidate
 	seen := map[uint64]bool{}
 	for _, node := range merged {
-		for _, addr := range tr.AddrsOfGUIDByRecency(node.guid) {
+		for _, addr := range tr.AddrsByRecency([]int{node.guid})[0] {
 			covering := seqsCoveringOracle(log, addr)
 			for i := len(covering) - 1; i >= 0; i-- {
 				if s := covering[i]; !seen[s] {

@@ -214,14 +214,7 @@ func readPool(r io.Reader, strict bool) (*Pool, error) {
 	if words < 64 || words > 1<<32 {
 		return nil, fmt.Errorf("%w: implausible pool size %d", ErrCorruptImage, words)
 	}
-	p := &Pool{
-		words:       words,
-		cur:         make([]uint64, words),
-		durable:     make([]uint64, words),
-		dirty:       map[uint64]struct{}{},
-		sink:        obs.Nop(),
-		fileVersion: int(version),
-	}
+	p := newRoot(words, int(version))
 	buf := make([]byte, 8*words)
 	if _, err := io.ReadFull(r, buf); err != nil {
 		return nil, fmt.Errorf("%w (durable image): %v", ErrTruncatedImage, err)

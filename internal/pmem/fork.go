@@ -135,6 +135,7 @@ func (p *Pool) curAt(i int) uint64 {
 func (p *Pool) setCurAt(i int, v uint64) {
 	if p.base == nil {
 		p.cur[i] = v
+		p.markStale(i)
 		return
 	}
 	p.curOv[i] = v
@@ -164,6 +165,7 @@ func (p *Pool) setDurAt(i int, v uint64) {
 	}
 	if p.base == nil {
 		p.durable[i] = v
+		p.markStale(i)
 		return
 	}
 	p.durOv[i] = v

@@ -239,6 +239,7 @@ func (p *Pool) SetMediaMaintenance(on bool) {
 func (p *Pool) rawDurWrite(i int, v uint64) {
 	if p.base == nil {
 		p.durable[i] = v
+		p.markStale(i)
 		return
 	}
 	p.durOv[i] = v

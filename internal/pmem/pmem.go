@@ -26,6 +26,7 @@ package pmem
 import (
 	"errors"
 	"fmt"
+	"math/bits"
 
 	"arthas/internal/obs"
 )
@@ -114,6 +115,12 @@ type Pool struct {
 	cur     []uint64 // what loads observe (root pools only)
 	durable []uint64 // what survives Crash (root pools only)
 	dirty   map[uint64]struct{}
+	// stale has one bit per page of pageWords words (root pools only): a
+	// page whose bit is clear holds the same words in cur and durable, so
+	// Crash resyncs only the marked pages and clears the bitmap. setCurAt,
+	// setDurAt and rawDurWrite mark the page they write; the bulk loads
+	// that fill cur directly leave it equal to durable.
+	stale []uint64
 
 	// Copy-on-write forking (nil/unused on root pools).
 	base  *Pool          // pool this one was forked from
@@ -202,14 +209,7 @@ func New(words int) *Pool {
 	if words < 64 {
 		words = 64
 	}
-	p := &Pool{
-		words:       words,
-		cur:         make([]uint64, words),
-		durable:     make([]uint64, words),
-		dirty:       make(map[uint64]struct{}),
-		sink:        obs.Nop(),
-		fileVersion: int(fileVersion),
-	}
+	p := newRoot(words, int(fileVersion))
 	p.initMedia()
 	p.cur[hdrMagic] = magicValue
 	p.cur[hdrSize] = uint64(words)
@@ -218,6 +218,44 @@ func New(words int) *Pool {
 	p.cur[hdrLiveWords] = 0
 	p.persistMeta(0, heapStart)
 	return p
+}
+
+// newRoot returns a root pool of the given size with both images zero.
+func newRoot(words, version int) *Pool {
+	return &Pool{
+		words:       words,
+		cur:         make([]uint64, words),
+		durable:     make([]uint64, words),
+		dirty:       make(map[uint64]struct{}),
+		stale:       make([]uint64, (words+pageWords*64-1)/(pageWords*64)),
+		sink:        obs.Nop(),
+		fileVersion: version,
+	}
+}
+
+// pageWords is the resync granularity of a root pool's Crash.
+const (
+	pageShift = 9
+	pageWords = 1 << pageShift
+)
+
+// markStale notes that word i's page may differ between the two images.
+func (p *Pool) markStale(i int) {
+	p.stale[i>>(pageShift+6)] |= 1 << (uint(i>>pageShift) & 63)
+}
+
+// resyncStale copies the durable image over the current one on every
+// marked page and clears the marks.
+func (p *Pool) resyncStale() {
+	for w, marks := range p.stale {
+		for marks != 0 {
+			lo := (w<<6 + bits.TrailingZeros64(marks)) << pageShift
+			hi := min(lo+pageWords, p.words)
+			copy(p.cur[lo:hi], p.durable[lo:hi])
+			marks &= marks - 1
+		}
+		p.stale[w] = 0
+	}
 }
 
 // SetHooks installs durability hooks, replacing any previous ones.
@@ -427,7 +465,9 @@ func (p *Pool) persistMeta(idx, words int) {
 func (p *Pool) DirtyWords() int { return len(p.dirty) }
 
 // Crash simulates a power failure / process kill: all unflushed stores are
-// lost and the current image is rebuilt from the durable one.
+// lost and the current image is rebuilt from the durable one. A root pool
+// copies only the pages written since the last Crash; a fork resets its
+// overlay.
 func (p *Pool) Crash() {
 	p.stats.Crashes++
 	if p.obsOn {
@@ -437,7 +477,7 @@ func (p *Pool) Crash() {
 		p.sink.SetGauge("pmem.dirty_words", 0)
 	}
 	if p.base == nil {
-		copy(p.cur, p.durable)
+		p.resyncStale()
 	} else {
 		// Reset every fork-local current word to the durable view, and mask
 		// dirty words inherited from the base (stores the base had not yet

@@ -190,22 +190,33 @@ type IncidentInput struct {
 	VersionsAtFailure uint64
 }
 
-// siteOf resolves a GUID to its source site (nil when unknown).
-func siteOf(res *analysis.Result, guid int) *Site {
-	if res == nil || guid == 0 {
+// siteCache resolves GUIDs to source sites (nil when unknown), each GUID
+// once per incident: plan candidates and lineage entries share few GUIDs.
+type siteCache struct {
+	res   *analysis.Result
+	sites map[int]*Site
+}
+
+func (c *siteCache) of(guid int) *Site {
+	if c.res == nil || guid == 0 {
 		return nil
 	}
-	for i := range res.GUIDs {
-		gi := &res.GUIDs[i]
-		if gi.GUID == guid {
-			return &Site{GUID: guid, Fn: gi.Fn, Pos: gi.Pos.String(), Instr: gi.Instr}
+	if s, ok := c.sites[guid]; ok {
+		return s
+	}
+	var s *Site
+	for i := range c.res.GUIDs {
+		if gi := &c.res.GUIDs[i]; gi.GUID == guid {
+			s = &Site{GUID: guid, Fn: gi.Fn, Pos: gi.Pos.String(), Instr: gi.Instr}
+			break
 		}
 	}
-	return nil
+	c.sites[guid] = s
+	return s
 }
 
 // lineageOf assembles one word's lineage entry.
-func lineageOf(idx *Index, res *analysis.Result, addr uint64) WordLineage {
+func lineageOf(idx *Index, sites *siteCache, addr uint64) WordLineage {
 	wl := WordLineage{Addr: addr}
 	if idx == nil {
 		return wl
@@ -221,7 +232,7 @@ func lineageOf(idx *Index, res *analysis.Result, addr uint64) WordLineage {
 	wl.WriteStep = rec.WriteStep
 	wl.PersistStep = rec.PersistStep
 	wl.Persists = rec.Persists
-	wl.Site = siteOf(res, rec.GUID)
+	wl.Site = sites.of(rec.GUID)
 	return wl
 }
 
@@ -244,6 +255,7 @@ func BuildIncident(in IncidentInput) *Incident {
 		},
 		Outcome: "not-recovered",
 	}
+	sites := &siteCache{res: in.Analysis, sites: map[int]*Site{}}
 	if in.Trap != nil {
 		inc.FaultAddr = in.Trap.Addr
 		inc.FaultStep = in.Trap.Step
@@ -286,18 +298,19 @@ func BuildIncident(in IncidentInput) *Incident {
 	}
 
 	// Plan with per-candidate evidence.
-	if rep != nil && rep.Plan != nil {
+	if rep != nil && rep.Plan != nil && len(rep.Plan.Candidates) > 0 {
+		inc.Plan = make([]CandidateEvidence, 0, len(rep.Plan.Candidates))
 		for _, c := range rep.Plan.Candidates {
 			ev := CandidateEvidence{
 				Seq: c.Seq, GUID: c.GUID, Dist: c.Dist, Addr: c.Addr,
-				Site:     siteOf(in.Analysis, c.GUID),
+				Site:     sites.of(c.GUID),
 				Reverted: reverted[c.Seq],
 			}
 			if in.Log != nil {
 				ev.Tx = in.Log.TxOf(c.Seq)
 			}
 			if in.Index != nil {
-				wl := lineageOf(in.Index, in.Analysis, c.Addr)
+				wl := lineageOf(in.Index, sites, c.Addr)
 				ev.Lineage = &wl
 			}
 			inc.Plan = append(inc.Plan, ev)
@@ -321,7 +334,7 @@ func BuildIncident(in IncidentInput) *Incident {
 	}
 	sort.Slice(addrs, func(i, j int) bool { return addrs[i] < addrs[j] })
 	for _, a := range addrs {
-		inc.Lineage = append(inc.Lineage, lineageOf(in.Index, in.Analysis, a))
+		inc.Lineage = append(inc.Lineage, lineageOf(in.Index, sites, a))
 	}
 
 	// Root cause: the first reverted sequence number, resolved to its
@@ -341,7 +354,7 @@ func BuildIncident(in IncidentInput) *Incident {
 			for _, c := range rep.Plan.Candidates {
 				if c.Seq == seq {
 					rc.GUID = c.GUID
-					rc.Site = siteOf(in.Analysis, c.GUID)
+					rc.Site = sites.of(c.GUID)
 					break
 				}
 			}

@@ -73,16 +73,15 @@ func ComputePlan(res *analysis.Result, tr *trace.Trace, log *checkpoint.Log,
 	plan := &Plan{Faults: faults}
 
 	// Merge slice nodes across faults, keeping each instruction's minimum
-	// distance to any fault. Each node's traced addresses are fetched once,
-	// in last-touch order: their count is the node's fan-out, and the list
-	// itself is the node's candidate walk below.
+	// distance to any fault. All nodes' traced addresses are then fetched
+	// in one query, in last-touch order: a list's length is its node's
+	// fan-out, and the list itself is the node's candidate walk below.
 	type nodeInfo struct {
 		guid  int
 		dist  int
 		addrs []uint64 // distinct dynamic addresses, most recent first
 	}
 	var merged []nodeInfo
-	var touched []uint64            // every node's addresses, for one covering query
 	seenNode := map[*ir.Instr]int{} // instr -> index in merged
 	for _, fault := range faults {
 		if fault == nil {
@@ -102,10 +101,17 @@ func ComputePlan(res *analysis.Result, tr *trace.Trace, log *checkpoint.Log,
 				continue
 			}
 			seenNode[n.Instr] = len(merged)
-			addrs := tr.AddrsOfGUIDByRecency(n.Instr.GUID)
-			touched = append(touched, addrs...)
-			merged = append(merged, nodeInfo{guid: n.Instr.GUID, dist: n.Dist, addrs: addrs})
+			merged = append(merged, nodeInfo{guid: n.Instr.GUID, dist: n.Dist})
 		}
+	}
+	guids := make([]int, len(merged))
+	for i, node := range merged {
+		guids[i] = node.guid
+	}
+	var touched []uint64 // every node's addresses, for one covering query
+	for i, addrs := range tr.AddrsByRecency(guids) {
+		merged[i].addrs = addrs
+		touched = append(touched, addrs...)
 	}
 	// Order: most-specific nodes first. A slice node "may be invoked many
 	// times while only some invocations are bad" (paper §6.4) — an

@@ -557,21 +557,24 @@ func purgeForward(ctx *Context, cand Candidate) int {
 	}
 	direct := append([]*ir.Instr(nil), ctx.Analysis.PDG.DataSuccs[src]...)
 	direct = append(direct, ctx.Analysis.PDG.MemSuccs[src]...)
-	// Each dependent's traced addresses, then one covering query for all
-	// of them: reversion steps live cursors but never changes which
-	// versions cover an address, so the answers hold across the pass.
-	addrs := make([][]uint64, len(direct))
-	var touched []uint64
-	for i, in := range direct {
-		if in == src || in.GUID == 0 {
-			continue
+	// The dependents' written addresses in one trace query, then one
+	// covering query for all of them: reversion steps live cursors but
+	// never changes which versions cover an address, so the answers hold
+	// across the pass.
+	guids := make([]int, 0, len(direct))
+	for _, in := range direct {
+		if in != src && in.GUID != 0 {
+			guids = append(guids, in.GUID)
 		}
-		addrs[i] = ctx.Trace.AddrsOfGUID(in.GUID)
-		touched = append(touched, addrs[i]...)
+	}
+	addrs := ctx.Trace.AddrsByFirstWrite(guids)
+	var touched []uint64
+	for _, a := range addrs {
+		touched = append(touched, a...)
 	}
 	covering := ctx.Log.SeqsCovering(touched)
 	total := 0
-	for i := range direct {
+	for i := range addrs {
 		for _, addr := range addrs[i] {
 			for _, s := range covering[addr] {
 				if s > cand.Seq {

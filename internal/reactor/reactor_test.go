@@ -574,7 +574,7 @@ func TestPlanOrdering(t *testing.T) {
 	// The first candidate must come from the most specific slice node:
 	// nothing later may have strictly lower fanout AND lower distance
 	// (the plan's node order is fanout-primary, distance-secondary).
-	fanout := func(guid int) int { return len(r.tr.AddrsOfGUIDByRecency(guid)) }
+	fanout := func(guid int) int { return len(r.tr.AddrsByRecency([]int{guid})[0]) }
 	first := plan.Candidates[0]
 	for _, c := range plan.Candidates[1:] {
 		if fanout(c.GUID) < fanout(first.GUID) &&

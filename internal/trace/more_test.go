@@ -9,16 +9,13 @@ func TestRecordReadRecency(t *testing.T) {
 	tr.RecordRead(2, 300)
 	tr.RecordRead(2, 200) // 200 touched again, most recent
 
-	addrs := tr.AddrsOfGUIDByRecency(2)
+	addrs := recency(tr, 2)
 	if len(addrs) != 2 || addrs[0] != 200 || addrs[1] != 300 {
 		t.Fatalf("read recency = %v", addrs)
 	}
-	// Reads do not enter the write indexes.
+	// Reads do not count as writes.
 	if got := tr.AddrsOfGUID(2); got != nil {
-		t.Fatalf("reads leaked into write index: %v", got)
-	}
-	if got := tr.GUIDsOfAddr(200); got != nil {
-		t.Fatalf("reads leaked into addr index: %v", got)
+		t.Fatalf("reads leaked into the write query: %v", got)
 	}
 }
 
@@ -27,7 +24,7 @@ func TestReadsAndWritesShareRecencyClock(t *testing.T) {
 	tr.Record(1, 100)
 	tr.RecordRead(1, 500)
 	// The read came later: it leads the recency list for guid 1.
-	addrs := tr.AddrsOfGUIDByRecency(1)
+	addrs := recency(tr, 1)
 	if len(addrs) != 2 || addrs[0] != 500 || addrs[1] != 100 {
 		t.Fatalf("recency = %v", addrs)
 	}
@@ -40,7 +37,7 @@ func TestReadRingWraps(t *testing.T) {
 	for i := 0; i < ringSize+500; i++ {
 		tr.RecordRead(7, uint64(1000+i%64))
 	}
-	addrs := tr.AddrsOfGUIDByRecency(7)
+	addrs := recency(tr, 7)
 	if len(addrs) != 64 {
 		t.Fatalf("distinct addrs = %d", len(addrs))
 	}
@@ -49,16 +46,15 @@ func TestReadRingWraps(t *testing.T) {
 func TestIncrementalIndexing(t *testing.T) {
 	tr := New()
 	tr.Record(1, 100)
-	_ = tr.AddrsOfGUID(1) // forces index build
-	tr.Record(1, 200)     // post-index event
+	_ = tr.AddrsOfGUID(1) // an earlier query
+	tr.Record(1, 200)     // an event after it
 	addrs := tr.AddrsOfGUID(1)
 	if len(addrs) != 2 {
-		t.Fatalf("incremental index missed events: %v", addrs)
+		t.Fatalf("query missed a later event: %v", addrs)
 	}
 	tr.Record(2, 100)
-	guids := tr.GUIDsOfAddr(100)
-	if len(guids) != 2 {
-		t.Fatalf("guids = %v", guids)
+	if got := recency(tr, 2); len(got) != 1 || got[0] != 100 {
+		t.Fatalf("recency(2) = %v", got)
 	}
 }
 
@@ -81,10 +77,10 @@ func TestEmptyTraceQueries(t *testing.T) {
 	if tr.Len() != 0 || tr.Flushes() != 0 {
 		t.Fatal("fresh trace not empty")
 	}
-	if tr.AddrsOfGUID(1) != nil || tr.GUIDsOfAddr(1) != nil {
+	if tr.AddrsOfGUID(1) != nil || len(tr.AddrsByFirstWrite(nil)) != 0 {
 		t.Fatal("empty queries returned data")
 	}
-	if got := tr.AddrsOfGUIDByRecency(1); len(got) != 0 {
+	if got := recency(tr, 1); len(got) != 0 {
 		t.Fatalf("recency on empty = %v", got)
 	}
 }

@@ -17,46 +17,39 @@ const (
 )
 
 // WriteTo serializes the trace (flushed events, the clock, and the recent-
-// reads ring). It implements io.WriterTo.
+// reads ring, oldest read first). It implements io.WriterTo.
 func (t *Trace) WriteTo(w io.Writer) (int64, error) {
 	t.Flush()
-	var written int64
-	put := func(v uint64) error {
-		var buf [8]byte
-		binary.LittleEndian.PutUint64(buf[:], v)
-		n, err := w.Write(buf[:])
+	var (
+		written int64
+		err     error
+		buf     []byte
+	)
+	put := func(vs ...uint64) { // a no-op once a write has failed
+		if err != nil {
+			return
+		}
+		buf = buf[:0]
+		for _, v := range vs {
+			buf = binary.LittleEndian.AppendUint64(buf, v)
+		}
+		var n int
+		n, err = w.Write(buf)
 		written += int64(n)
-		return err
 	}
-	for _, v := range []uint64{traceMagic, traceVersion, t.next, uint64(len(t.flushed))} {
-		if err := put(v); err != nil {
-			return written, err
-		}
-	}
+	put(traceMagic, traceVersion, t.next, uint64(len(t.flushed)))
 	for _, e := range t.flushed {
-		for _, v := range []uint64{uint64(e.GUID), e.Addr, e.Idx} {
-			if err := put(v); err != nil {
-				return written, err
-			}
-		}
+		put(uint64(e.GUID), e.Addr, e.Idx)
 	}
-	// Ring: persist only the occupied slots.
-	n := t.ringNext
-	if n > ringSize {
-		n = ringSize
+	// Ring: persist only the retained reads, oldest first, so the reader
+	// can load them into slots 0..n-1 and keep evicting the oldest.
+	oldest := t.oldestRead()
+	put(uint64(t.ringNext - oldest))
+	for i := oldest; i < t.ringNext; i++ {
+		e := t.ring[i&(ringSize-1)]
+		put(uint64(e.GUID), e.Addr, e.Idx)
 	}
-	if err := put(uint64(n)); err != nil {
-		return written, err
-	}
-	for i := 0; i < n; i++ {
-		e := t.ring[i]
-		for _, v := range []uint64{uint64(e.GUID), e.Addr, e.Idx} {
-			if err := put(v); err != nil {
-				return written, err
-			}
-		}
-	}
-	return written, nil
+	return written, err
 }
 
 // ReadTrace deserializes a trace written by WriteTo.
@@ -67,6 +60,14 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 			return 0, err
 		}
 		return binary.LittleEndian.Uint64(buf[:]), nil
+	}
+	getEvent := func() (Event, error) {
+		var buf [24]byte
+		if _, err := io.ReadFull(r, buf[:]); err != nil {
+			return Event{}, err
+		}
+		le := binary.LittleEndian
+		return Event{GUID: int(le.Uint64(buf[:])), Addr: le.Uint64(buf[8:]), Idx: le.Uint64(buf[16:])}, nil
 	}
 	magic, err := get()
 	if err != nil {
@@ -96,19 +97,11 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: implausible event count %d", nEvents)
 	}
 	for i := uint64(0); i < nEvents; i++ {
-		g, err := get()
+		e, err := getEvent()
 		if err != nil {
 			return nil, err
 		}
-		a, err := get()
-		if err != nil {
-			return nil, err
-		}
-		idx, err := get()
-		if err != nil {
-			return nil, err
-		}
-		t.flushed = append(t.flushed, Event{GUID: int(g), Addr: a, Idx: idx})
+		t.flushed = append(t.flushed, e)
 	}
 	nRing, err := get()
 	if err != nil {
@@ -118,19 +111,9 @@ func ReadTrace(r io.Reader) (*Trace, error) {
 		return nil, fmt.Errorf("trace: implausible ring count %d", nRing)
 	}
 	for i := uint64(0); i < nRing; i++ {
-		g, err := get()
-		if err != nil {
+		if t.ring[i], err = getEvent(); err != nil {
 			return nil, err
 		}
-		a, err := get()
-		if err != nil {
-			return nil, err
-		}
-		idx, err := get()
-		if err != nil {
-			return nil, err
-		}
-		t.ring[i] = Event{GUID: int(g), Addr: a, Idx: idx}
 		t.ringNext++
 	}
 	return t, nil

@@ -28,7 +28,7 @@ func TestTraceSerializationRoundTrip(t *testing.T) {
 		t.Fatalf("guid 1 addrs = %v", addrs)
 	}
 	// Read-ring recency travels.
-	rec := got.AddrsOfGUIDByRecency(3)
+	rec := recency(got, 3)
 	if len(rec) != 1 || rec[0] != 300 {
 		t.Fatalf("guid 3 recency = %v", rec)
 	}

@@ -1,16 +1,16 @@
 // Package trace implements the lightweight runtime PM-address tracing of
 // paper §4.1: instrumented PM instructions emit <GUID, pmem_address> events;
 // the tracer buffers them in memory and flushes in batches so the hot path
-// is a plain append. All lookup indexes are built lazily and incrementally
-// at query time — mirroring the paper's reactor server, which parses the
-// trace file on a background thread rather than taxing the target system
-// (§5). The Arthas reactor joins the trace with the static GUID metadata
-// and the checkpoint log to map slice nodes to concrete checkpoint
-// sequence numbers.
+// is a plain append. There is no lookup index: a query makes one pass over
+// the retained events — every write, and the reads still in the bounded
+// read ring — for a whole batch of GUIDs, off the traced system's critical
+// path like the paper's reactor server, which parses the trace file on a
+// background thread (§5). The Arthas reactor joins the answers with the
+// static GUID metadata and the checkpoint log to map slice nodes to
+// concrete checkpoint sequence numbers.
 package trace
 
 import (
-	"sort"
 	"sync"
 
 	"arthas/internal/obs"
@@ -39,19 +39,9 @@ type Trace struct {
 	// feed the recency signal, so they live in a bounded ring rather than
 	// the persistent event list. This keeps the per-load cost at one
 	// fixed-slot write and the memory bounded no matter how hot the read
-	// path is.
+	// path is. Read number n (from 0) sits in slot n%ringSize.
 	ring     []Event
 	ringNext int
-
-	// Lazily built indexes over flushed[:indexed] and ring[:ringIndexed].
-	indexed     int
-	ringIndexed int
-	byGUID      map[int][]uint64
-	byAddr      map[uint64][]int
-	// lastTouch records, per GUID, the most recent event index per address
-	// — the recency signal the reactor's candidate ordering uses (the
-	// failing execution touches the bad state last).
-	lastTouch map[int]map[uint64]uint64
 
 	// sink receives tracing telemetry; obsOn caches sink.Enabled(). Record
 	// and RecordRead never call it: FlushObs publishes what tally() counts,
@@ -60,11 +50,11 @@ type Trace struct {
 	obsOn     bool
 	published tally
 
-	// qmu serializes the query side (ensureIndex lazily mutates the index
-	// maps): parallel speculative-mitigation workers query one shared
-	// trace concurrently. Recording stays lock-free — it never runs
-	// concurrently with itself or with queries (the traced machine is
-	// idle while the reactor searches, and forks record no trace).
+	// qmu serializes the query side (a query drains the buffer):
+	// parallel speculative-mitigation workers query one shared trace
+	// concurrently. Recording stays lock-free — it never runs concurrently
+	// with itself or with queries (the traced machine is idle while the
+	// reactor searches, and forks record no trace).
 	qmu sync.Mutex
 }
 
@@ -82,13 +72,7 @@ func New() *Trace {
 // machine is never wired to RecordRead (a fork, whose trace layer is
 // detached): it answers every query, but RecordRead on it panics.
 func NewWithoutReads() *Trace {
-	return &Trace{
-		BufSize:   4096,
-		byGUID:    map[int][]uint64{},
-		byAddr:    map[uint64][]int{},
-		lastTouch: map[int]map[uint64]uint64{},
-		sink:      obs.Nop(),
-	}
+	return &Trace{BufSize: 4096, sink: obs.Nop()}
 }
 
 // SetSink installs an observability sink (nil restores the no-op). The
@@ -151,7 +135,6 @@ func (t *Trace) RecordRead(guid int, addr uint64) {
 
 // Flush drains the buffer into the persistent side of the trace. Called
 // automatically when the buffer fills and by readers before queries.
-// Indexing is NOT done here: it happens lazily at query time.
 func (t *Trace) Flush() {
 	if len(t.buf) == 0 {
 		return
@@ -159,47 +142,6 @@ func (t *Trace) Flush() {
 	t.flushes++
 	t.flushed = append(t.flushed, t.buf...)
 	t.buf = t.buf[:0]
-}
-
-// ensureIndex incrementally indexes write events not yet covered, then
-// overlays the retained read ring onto the recency map.
-func (t *Trace) ensureIndex() {
-	t.Flush()
-	touch := func(guid int, addr, idx uint64) {
-		lt := t.lastTouch[guid]
-		if lt == nil {
-			lt = map[uint64]uint64{}
-			t.lastTouch[guid] = lt
-		}
-		if idx >= lt[addr] {
-			lt[addr] = idx
-		}
-	}
-	for _, e := range t.flushed[t.indexed:] {
-		addrs := t.byGUID[e.GUID]
-		if len(addrs) == 0 || addrs[len(addrs)-1] != e.Addr {
-			t.byGUID[e.GUID] = append(addrs, e.Addr)
-		}
-		guids := t.byAddr[e.Addr]
-		if len(guids) == 0 || guids[len(guids)-1] != e.GUID {
-			t.byAddr[e.Addr] = append(guids, e.GUID)
-		}
-		touch(e.GUID, e.Addr, e.Idx)
-	}
-	t.indexed = len(t.flushed)
-	if t.ringNext != t.ringIndexed {
-		n := t.ringNext
-		if n > ringSize {
-			n = ringSize
-		}
-		for i := 0; i < n; i++ {
-			e := t.ring[i]
-			if e.GUID != 0 {
-				touch(e.GUID, e.Addr, e.Idx)
-			}
-		}
-		t.ringIndexed = t.ringNext
-	}
 }
 
 // Events returns all recorded events in order.
@@ -218,58 +160,112 @@ func (t *Trace) Reads() int { return t.ringNext }
 // Flushes returns how many buffer flushes occurred (overhead diagnostics).
 func (t *Trace) Flushes() int { return t.flushes }
 
+// oldestRead is the number of the oldest read still in the ring.
+func (t *Trace) oldestRead() int { return max(t.ringNext-len(t.ring), 0) }
+
 // AddrsOfGUID returns the distinct addresses an instrumented instruction
-// touched, in first-touch order. "One dependent instruction in a slice may
+// wrote, in first-touch order. "One dependent instruction in a slice may
 // be invoked many times" (paper §6.4) — this is exactly that aliasing.
 func (t *Trace) AddrsOfGUID(guid int) []uint64 {
-	t.qmu.Lock()
-	defer t.qmu.Unlock()
-	t.ensureIndex()
-	seen := map[uint64]bool{}
-	var out []uint64
-	for _, a := range t.byGUID[guid] {
-		if !seen[a] {
-			seen[a] = true
-			out = append(out, a)
-		}
-	}
-	return out
+	return t.AddrsByFirstWrite([]int{guid})[0]
 }
 
-// AddrsOfGUIDByRecency returns the distinct addresses an instrumented
-// instruction touched, most recently touched first. The failing execution
-// is the last to run, so its addresses — the contaminated ones — lead.
-func (t *Trace) AddrsOfGUIDByRecency(guid int) []uint64 {
+// AddrsByFirstWrite answers AddrsOfGUID for every GUID in guids with one
+// forward pass over the write events: out[i] lists the distinct addresses
+// guids[i] wrote, in first-touch order (nil if it wrote none). Reads play
+// no part.
+func (t *Trace) AddrsByFirstWrite(guids []int) [][]uint64 {
 	t.qmu.Lock()
 	defer t.qmu.Unlock()
-	t.ensureIndex()
-	lt := t.lastTouch[guid]
-	out := make([]uint64, 0, len(lt))
-	for a := range lt {
-		out = append(out, a)
+	t.Flush()
+	q := newQuery(guids)
+	for i := range t.flushed {
+		q.see(&t.flushed[i])
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if lt[out[i]] != lt[out[j]] {
-			return lt[out[i]] > lt[out[j]]
-		}
-		return out[i] < out[j]
-	})
-	return out
+	return q.result(guids)
 }
 
-// GUIDsOfAddr returns the distinct GUIDs that touched an address.
-func (t *Trace) GUIDsOfAddr(addr uint64) []int {
+// AddrsByRecency returns, for every GUID in guids, the distinct addresses
+// it touched — writes, and the reads still in the ring — most recently
+// touched first. The failing execution is the last to run, so its
+// addresses (the contaminated ones) lead. One newest-first pass merges the
+// write list with the read ring by event index; the first time it meets an
+// address of a wanted GUID is that address's last retained touch, so the
+// lists come out in order without a sort.
+func (t *Trace) AddrsByRecency(guids []int) [][]uint64 {
 	t.qmu.Lock()
 	defer t.qmu.Unlock()
-	t.ensureIndex()
-	seen := map[int]bool{}
-	var out []int
-	for _, g := range t.byAddr[addr] {
-		if !seen[g] {
-			seen[g] = true
-			out = append(out, g)
+	t.Flush()
+	q := newQuery(guids)
+	writes, ring := t.flushed, t.ring
+	w, r, oldest := len(writes)-1, t.ringNext-1, t.oldestRead()
+	for w >= 0 || r >= oldest {
+		if r < oldest || w >= 0 && writes[w].Idx > ring[r&(ringSize-1)].Idx {
+			q.see(&writes[w])
+			w--
+		} else {
+			q.see(&ring[r&(ringSize-1)])
+			r--
 		}
 	}
-	sort.Ints(out)
-	return out
+	return q.result(guids)
+}
+
+// query collects, per position of a batch of GUIDs, the distinct addresses
+// of the events shown to it, in the order shown.
+type query struct {
+	slot  []int32    // GUID -> 1 + its first position; 0 = unwanted
+	addrs [][]uint64 // per position, the answer so far
+	seen  []map[uint64]struct{}
+}
+
+func newQuery(guids []int) *query {
+	top := -1
+	for _, g := range guids {
+		top = max(top, g)
+	}
+	q := &query{slot: make([]int32, top+1), addrs: make([][]uint64, len(guids)),
+		seen: make([]map[uint64]struct{}, len(guids))}
+	for i, g := range guids {
+		if g >= 0 && q.slot[g] == 0 {
+			q.slot[g] = int32(i + 1)
+		}
+	}
+	return q
+}
+
+// see is the per-event step: one slice lookup on the GUID, and add only
+// for a wanted one.
+func (q *query) see(e *Event) {
+	if uint(e.GUID) < uint(len(q.slot)) {
+		if k := q.slot[e.GUID]; k != 0 {
+			q.add(k, e.Addr)
+		}
+	}
+}
+
+// add appends addr to position k-1's answer unless it is already there:
+// one map assignment.
+func (q *query) add(k int32, addr uint64) {
+	m := q.seen[k-1]
+	if m == nil {
+		m = map[uint64]struct{}{}
+		q.seen[k-1] = m
+	}
+	n := len(m)
+	m[addr] = struct{}{}
+	if len(m) > n {
+		q.addrs[k-1] = append(q.addrs[k-1], addr)
+	}
+}
+
+// result returns the per-position answers; a GUID listed twice shares its
+// first position's slice.
+func (q *query) result(guids []int) [][]uint64 {
+	for i, g := range guids {
+		if g >= 0 {
+			q.addrs[i] = q.addrs[q.slot[g]-1]
+		}
+	}
+	return q.addrs
 }

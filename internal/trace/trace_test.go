@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"testing"
 	"testing/quick"
 
@@ -22,9 +23,9 @@ func TestRecordAndQuery(t *testing.T) {
 	if len(addrs) != 2 || addrs[0] != 100 || addrs[1] != 300 {
 		t.Fatalf("AddrsOfGUID(1) = %v", addrs)
 	}
-	guids := tr.GUIDsOfAddr(100)
-	if len(guids) != 1 || guids[0] != 1 {
-		t.Fatalf("GUIDsOfAddr(100) = %v", guids)
+	rec := recency(tr, 1)
+	if len(rec) != 2 || rec[0] != 300 || rec[1] != 100 {
+		t.Fatalf("recency(1) = %v", rec)
 	}
 	if got := tr.AddrsOfGUID(99); got != nil {
 		t.Fatalf("unknown GUID addrs = %v", got)
@@ -64,14 +65,19 @@ func TestSharedAddressMultipleGUIDs(t *testing.T) {
 	tr.Record(5, 777)
 	tr.Record(9, 777)
 	tr.Record(5, 777)
-	guids := tr.GUIDsOfAddr(777)
-	if len(guids) != 2 || guids[0] != 5 || guids[1] != 9 {
-		t.Fatalf("GUIDsOfAddr = %v", guids)
+	tr.Record(9, 778)
+	byWrite := tr.AddrsByFirstWrite([]int{5, 9})
+	if !reflect.DeepEqual(byWrite, [][]uint64{{777}, {777, 778}}) {
+		t.Fatalf("AddrsByFirstWrite = %v", byWrite)
+	}
+	byRecency := tr.AddrsByRecency([]int{9, 5})
+	if !reflect.DeepEqual(byRecency, [][]uint64{{778, 777}, {777}}) {
+		t.Fatalf("AddrsByRecency = %v", byRecency)
 	}
 }
 
 // Property: every recorded (guid, addr) pair is later discoverable through
-// both indexes, regardless of buffer-size-induced flush boundaries.
+// both queries, regardless of buffer-size-induced flush boundaries.
 func TestPropIndexesComplete(t *testing.T) {
 	f := func(pairs []struct {
 		G uint8
@@ -92,13 +98,13 @@ func TestPropIndexesComplete(t *testing.T) {
 			if !foundAddr {
 				return false
 			}
-			foundGUID := false
-			for _, g := range tr.GUIDsOfAddr(uint64(p.A)) {
-				if g == int(p.G) {
-					foundGUID = true
+			foundRecent := false
+			for _, a := range recency(tr, int(p.G)) {
+				if a == uint64(p.A) {
+					foundRecent = true
 				}
 			}
-			if !foundGUID {
+			if !foundRecent {
 				return false
 			}
 		}
