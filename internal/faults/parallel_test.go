@@ -82,3 +82,36 @@ func TestParallelMitigationDeterminism(t *testing.T) {
 		})
 	}
 }
+
+// The evaluation's tallies are read from the Outcome, so it is held to the
+// same contract as the Report: every non-leak case reaches the same
+// attempts, reverted versions and data loss at any worker count.
+func TestOutcomeIndependentOfWorkers(t *testing.T) {
+	for _, b := range All() {
+		if b.IsLeak {
+			continue
+		}
+		b := b
+		t.Run(b.ID, func(t *testing.T) {
+			t.Parallel()
+			type tallies struct {
+				Recovered, TimedOut bool
+				Attempts, Reverted  int
+				DataLossPct         float64
+			}
+			run := func(workers int) tallies {
+				cfg := RunConfig{}
+				cfg.Reactor = reactor.DefaultConfig()
+				cfg.Reactor.Workers = workers
+				out, err := RunArthas(b, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				return tallies{out.Recovered, out.TimedOut, out.Attempts, out.RevertedItems, out.DataLossPct}
+			}
+			if seq, par := run(1), run(4); seq != par {
+				t.Fatalf("outcome diverged across worker counts:\n  workers=1: %+v\n  workers=4: %+v", seq, par)
+			}
+		})
+	}
+}
