@@ -81,11 +81,11 @@ func TestFacadeEndToEnd(t *testing.T) {
 		t.Fatal("recurrence not flagged hard")
 	}
 
-	rep, err := inst.Mitigate(func() *Trap {
-		if tp := inst.Restart(); tp != nil {
+	rep, err := inst.Mitigate(func(on *Instance) *Trap {
+		if tp := on.Restart(); tp != nil {
 			return tp
 		}
-		_, tp := inst.Call("get", 0)
+		_, tp := on.Call("get", 0)
 		return tp
 	})
 	if err != nil {

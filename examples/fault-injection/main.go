@@ -121,11 +121,11 @@ func main() {
 
 	// Data-loss failures have no trapping instruction; the fault
 	// instructions are the serving function's returns.
-	rep, err := inst.MitigateWithFaults(inst.RetInstrs("get"), func() *arthas.Trap {
-		if tp := inst.Restart(); tp != nil {
+	rep, err := inst.MitigateProbe(inst.RetInstrs("get"), false, func(on *arthas.Instance) *arthas.Trap {
+		if tp := on.Restart(); tp != nil {
 			return tp
 		}
-		if v, tp := inst.Call("get", 7); tp != nil || v == -1 {
+		if v, tp := on.Call("get", 7); tp != nil || v == -1 {
 			return &arthas.Trap{Kind: arthas.TrapUserFail, Code: 7, Msg: "known key missing"}
 		}
 		return nil

@@ -175,11 +175,11 @@ func main() {
 	_, hard := inst.Observe(trap2)
 	fmt.Println("recurs across restart -> hard fault:", hard)
 
-	rep, err := inst.Mitigate(func() *arthas.Trap {
-		if tp := inst.Restart(); tp != nil {
+	rep, err := inst.Mitigate(func(on *arthas.Instance) *arthas.Trap {
+		if tp := on.Restart(); tp != nil {
 			return tp
 		}
-		_, tp := inst.Call("get", 5)
+		_, tp := on.Call("get", 5)
 		return tp
 	})
 	if err != nil {

@@ -92,11 +92,13 @@ func main() {
 
 	// Arthas: slice the fault, map it through the trace to checkpoint
 	// entries, revert, re-execute.
-	rep, err := inst.Mitigate(func() *arthas.Trap {
-		if tp := inst.Restart(); tp != nil {
+	// The probe runs on forks of the instance (one per reversion trial) and
+	// then on the instance itself, so it reaches the system only through on.
+	rep, err := inst.Mitigate(func(on *arthas.Instance) *arthas.Trap {
+		if tp := on.Restart(); tp != nil {
 			return tp
 		}
-		_, tp := inst.Call("get", 3)
+		_, tp := on.Call("get", 3)
 		return tp
 	})
 	if err != nil {

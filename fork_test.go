@@ -51,6 +51,16 @@ func TestForkLeavesParentUntouched(t *testing.T) {
 	}
 	before, durableBefore := snapshot()
 
+	// A fork shares its parent's checkpoint history: every entry it has not
+	// written is the parent's own, not a copy, and what it writes it copies
+	// in place, keeping the parent's creation order.
+	parentEntries := inst.Log.Entries()
+	for i, e := range inst.Fork().Log.Entries() {
+		if e != parentEntries[i] {
+			t.Fatalf("an unwritten fork copies entry %d of its parent's log", i)
+		}
+	}
+
 	var wg sync.WaitGroup
 	for w := int64(0); w < 4; w++ {
 		wg.Add(1)
@@ -79,6 +89,11 @@ func TestForkLeavesParentUntouched(t *testing.T) {
 			}
 			if f.Log.TotalVersions() <= before.versions {
 				t.Errorf("fork %d: its log recorded none of its puts", w)
+			}
+			for i, e := range f.Log.Entries()[:len(parentEntries)] {
+				if p := parentEntries[i]; e.Addr != p.Addr || e.Words != p.Words {
+					t.Errorf("fork %d: entry %d is %#x/%d, its parent's %#x/%d", w, i, e.Addr, e.Words, p.Addr, p.Words)
+				}
 			}
 		}()
 	}

@@ -499,8 +499,9 @@ func TestFlushObsPublishesTallies(t *testing.T) {
 	}
 }
 
-// A fork runs dark; adopting it does not publish its versions as this log's.
-func TestAdoptKeepsForkVersionsDark(t *testing.T) {
+// What the winning fork did is published as the adopting log's own: the
+// counters keep equal to the log's tallies, which now include it.
+func TestAdoptPublishesForkActivity(t *testing.T) {
 	rec := obs.NewRecorder()
 	pool, log := newRig(3)
 	log.SetSink(rec)
@@ -513,6 +514,9 @@ func TestAdoptKeepsForkVersionsDark(t *testing.T) {
 	fp.Store(a, 2)
 	fp.Persist(a, 1)
 	fp.Persist(a, 1)
+	if _, err := fl.Revert(fp, fl.Seq()); err != nil {
+		t.Fatal(err)
+	}
 	log.Adopt(fl)
 	if err := fp.Promote(); err != nil {
 		t.Fatal(err)
@@ -520,10 +524,13 @@ func TestAdoptKeepsForkVersionsDark(t *testing.T) {
 	pool.Store(a, 3)
 	pool.Persist(a, 1)
 	log.FlushObs()
-	if got := rec.CounterValue("ckpt.versions"); got != 2 {
-		t.Fatalf("ckpt.versions = %d, want this log's own 2", got)
+	if got := rec.CounterValue("ckpt.versions"); got != 4 || log.TotalVersions() != 4 {
+		t.Fatalf("ckpt.versions = %d, log has %d, want 4", got, log.TotalVersions())
 	}
-	if got := rec.GaugeValue("ckpt.total_versions"); got != 4 || log.TotalVersions() != 4 {
-		t.Fatalf("ckpt.total_versions = %d, log has %d, want 4", got, log.TotalVersions())
+	if got := rec.GaugeValue("ckpt.total_versions"); got != 4 {
+		t.Fatalf("ckpt.total_versions = %d, want 4", got)
+	}
+	if got := rec.CounterValue("ckpt.revert"); got != 1 {
+		t.Fatalf("ckpt.revert = %d, want the fork's 1", got)
 	}
 }

@@ -77,12 +77,11 @@ func (l *Log) WriteTo(w io.Writer) (int64, error) {
 	// Entries in creation order; OldEntry references encode as the order
 	// index of the target (+1; 0 = none).
 	orderIdx := map[*Entry]uint64{}
-	for i, k := range l.order {
-		orderIdx[l.entries[k]] = uint64(i + 1)
+	for i, e := range l.order {
+		orderIdx[e] = uint64(i + 1)
 	}
 	u.put(uint64(len(l.order)))
-	for _, k := range l.order {
-		e := l.entries[k]
+	for _, e := range l.order {
 		u.put(e.Addr)
 		u.put(uint64(e.Words))
 		u.put(uint64(int64(e.live))) // two's complement for -1
@@ -134,7 +133,6 @@ func ReadLog(r io.Reader) (*Log, error) {
 		return nil, fmt.Errorf("%w: implausible entry count %d", ErrCorruptLog, nEntries)
 	}
 	oldRefs := make([]uint64, nEntries)
-	ordered := make([]*Entry, 0, nEntries)
 	for i := uint64(0); i < nEntries; i++ {
 		e := &Entry{
 			Addr:  u.get(),
@@ -170,14 +168,12 @@ func ReadLog(r io.Reader) (*Log, error) {
 			e.Versions = append(e.Versions, v)
 			l.bySeq[v.Seq] = e
 		}
-		key := entryKey{e.Addr, e.Words}
-		l.entries[key] = e
-		l.order = append(l.order, key)
-		ordered = append(ordered, e)
+		l.entries[entryKey{e.Addr, e.Words}] = e
+		l.order = append(l.order, e)
 	}
 	for i, ref := range oldRefs {
-		if ref != 0 && int(ref-1) < len(ordered) {
-			ordered[i].OldEntry = ordered[ref-1]
+		if ref != 0 && int(ref-1) < len(l.order) {
+			l.order[i].OldEntry = l.order[ref-1]
 		}
 	}
 

@@ -53,13 +53,11 @@ func (l *Log) Validate() *ValidateReport {
 	r := &ValidateReport{}
 	versionCount := 0
 	seqSeen := map[uint64]bool{}
-	for _, k := range l.order {
-		e := l.entries[k]
-		if e == nil {
-			r.addf("entry order references missing key {%#x,%d}", k.addr, k.words)
-			continue
-		}
+	for _, e := range l.order {
 		name := fmt.Sprintf("entry {%#x,%d}", e.Addr, e.Words)
+		if l.entries[entryKey{e.Addr, e.Words}] != e {
+			r.addf("%s: not the entry its range indexes", name)
+		}
 		if e.Words <= 0 {
 			r.addf("%s: non-positive range width", name)
 		}

@@ -48,37 +48,37 @@ func TestValidateCatchesDamage(t *testing.T) {
 		hurt func(l *Log)
 	}{
 		{"live cursor out of range", func(l *Log) {
-			l.entries[l.order[0]].live = 99
+			l.order[0].live = 99
 		}},
 		{"dead with live cursor", func(l *Log) {
-			e := l.entries[l.order[0]]
+			e := l.order[0]
 			e.dead = true
 			e.live = 0
 		}},
 		{"version data width mismatch", func(l *Log) {
-			e := l.entries[l.order[0]]
+			e := l.order[0]
 			e.Versions[0].Data = e.Versions[0].Data[:0]
 		}},
 		{"seq beyond counter", func(l *Log) {
-			e := l.entries[l.order[0]]
+			e := l.order[0]
 			old := e.Versions[0].Seq
 			e.Versions[0].Seq = l.seq + 1000
 			delete(l.bySeq, old)
 			l.bySeq[e.Versions[0].Seq] = e
 		}},
 		{"non-ascending version seqs", func(l *Log) {
-			e := l.entries[l.order[0]]
+			e := l.order[0]
 			if len(e.Versions) < 2 {
 				t.Skip("need 2 versions")
 			}
 			e.Versions[0].Seq, e.Versions[1].Seq = e.Versions[1].Seq, e.Versions[0].Seq
 		}},
 		{"tx beyond counter", func(l *Log) {
-			e := l.entries[l.order[0]]
+			e := l.order[0]
 			e.Versions[0].Tx = l.txSeq + 50
 		}},
 		{"stale seq index", func(l *Log) {
-			l.bySeq[l.seq+77] = l.entries[l.order[0]]
+			l.bySeq[l.seq+77] = l.order[0]
 		}},
 		{"alloc seq beyond counter", func(l *Log) {
 			for _, a := range l.allocOrder {

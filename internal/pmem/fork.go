@@ -107,11 +107,12 @@ func (p *Pool) Promote() error {
 	for a := range p.dirty {
 		b.dirty[a] = struct{}{}
 	}
-	// The fork ran dark: what the base did itself is published, what the
-	// fork did is adopted as already accounted for.
+	// The fork ran dark. What the base did itself is published now; the
+	// fork's activity — it started from the base's tallies, and the base
+	// stood still while it ran — is published at the next flush as the
+	// base's own, since it happened to the state the base now holds.
 	b.FlushObs()
 	b.stats = p.stats
-	b.published = b.stats
 	if b.obsOn {
 		b.sink.Count("pmem.promote", 1)
 		b.sink.Count("pmem.promoted_words", int64(len(p.curOv)))

@@ -125,9 +125,9 @@ func TestSetSinkSwapSplitsTallies(t *testing.T) {
 	}
 }
 
-// A fork runs dark; promoting it adopts its stats without publishing its
-// activity as the base's.
-func TestPromoteKeepsForkActivityDark(t *testing.T) {
+// A fork runs dark; promoting it adopts its stats, and its activity is
+// published as the base's own, so counters keep equal to the tallies.
+func TestPromotePublishesForkActivity(t *testing.T) {
 	rec := obs.NewRecorder()
 	p := New(256)
 	p.SetSink(rec)
@@ -137,18 +137,18 @@ func TestPromoteKeepsForkActivityDark(t *testing.T) {
 	f.Store(a, 2)
 	f.Store(a+1, 3)
 	f.Load(a)
+	if rec.CounterValue("pmem.load") != 0 {
+		t.Fatal("fork load published before promotion")
+	}
 	if err := f.Promote(); err != nil {
 		t.Fatal(err)
 	}
 	p.Store(a, 4)
 	p.FlushObs()
-	if got := rec.CounterValue("pmem.store"); got != 2 {
-		t.Fatalf("pmem.store = %d, want the base's own 2", got)
+	if got := rec.CounterValue("pmem.store"); got != 4 || p.Stats().Stores != 4 {
+		t.Fatalf("pmem.store = %d, Stats().Stores = %d, want 4 (the fork's adopted)", got, p.Stats().Stores)
 	}
-	if rec.CounterValue("pmem.load") != 0 {
-		t.Fatal("fork load published through the base")
-	}
-	if p.Stats().Stores != 4 {
-		t.Fatalf("Stats().Stores = %d, want 4 (fork's adopted)", p.Stats().Stores)
+	if got := rec.CounterValue("pmem.load"); got != 1 {
+		t.Fatalf("pmem.load = %d, want the fork's 1", got)
 	}
 }

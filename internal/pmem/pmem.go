@@ -299,6 +299,7 @@ func (p *Pool) FlushObs() {
 	if alloced || freed {
 		p.sink.SetGauge("pmem.live_words", int64(p.LiveWords()))
 	}
+	obs.CountDelta(p.sink, "pmem.crash", cur.Crashes, &pub.Crashes)
 }
 
 // HooksInstalled reports whether any persist hook is present.
@@ -472,7 +473,6 @@ func (p *Pool) Crash() {
 	p.stats.Crashes++
 	if p.obsOn {
 		p.FlushObs()
-		p.sink.Count("pmem.crash", 1)
 		p.sink.Count("pmem.crash_lost_words", int64(len(p.dirty)))
 		p.sink.SetGauge("pmem.dirty_words", 0)
 	}

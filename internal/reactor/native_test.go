@@ -72,18 +72,9 @@ func TestNativePersistenceRecovery(t *testing.T) {
 		t.Fatal("failure did not recur")
 	}
 
-	rep := Mitigate(DefaultConfig(), &Context{
-		Analysis: r.res, Trace: r.tr, Log: r.log, Pool: r.pool,
-		Fault: trap.Instr, AddrFault: true,
-		ReExec: func() *vm.Trap {
-			r.restart()
-			if _, tp := r.m.Call("recover_"); tp != nil {
-				return tp
-			}
-			_, tp := r.m.Call("get", 0)
-			return tp
-		},
-	})
+	ctx := r.context(trap, calls("get", 0))
+	ctx.AddrFault = true
+	rep := Mitigate(DefaultConfig(), ctx)
 	if !rep.Recovered {
 		t.Fatalf("native-persistence fault not recovered: %v (last %v)", rep, rep.LastTrap)
 	}

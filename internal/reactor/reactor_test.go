@@ -104,6 +104,49 @@ func (r *rig) restart() {
 	r.boot()
 }
 
+// probeFn is a re-execution script after its restart: it reproduces the
+// failure on a freshly booted machine and returns nil when healthy.
+type probeFn func(m *vm.Machine) *vm.Trap
+
+// calls is the common probe: recovery, then one call.
+func calls(fn string, args ...int64) probeFn {
+	return func(m *vm.Machine) *vm.Trap {
+		if _, tp := m.Call("recover_"); tp != nil {
+			return tp
+		}
+		_, tp := m.Call(fn, args...)
+		return tp
+	}
+}
+
+// context is the Context the arthas facade assembles for a failure: the
+// probe confirms on the live rig, and every trial runs it on a fork.
+func (r *rig) context(trap *vm.Trap, probe probeFn) *Context {
+	return &Context{
+		Analysis: r.res, Trace: r.tr, Log: r.log, Pool: r.pool, Fault: trap.Instr,
+		ReExec:      func() *vm.Trap { r.restart(); return probe(r.m) },
+		ForkSession: r.forkSessions(probe),
+	}
+}
+
+// forkSessions builds a ForkSession factory over a rig, mirroring the
+// arthas facade wiring: COW pool fork + forked log + private machine.
+func (r *rig) forkSessions(probe probeFn) func() (*Session, error) {
+	return func() (*Session, error) {
+		pool := r.pool.Fork()
+		log := r.log.Fork()
+		pool.SetHooks(log.Hooks())
+		return &Session{
+			Pool: pool,
+			Log:  log,
+			ReExec: func() *vm.Trap {
+				pool.Crash()
+				return probe(vm.New(r.mod, pool, vm.Config{StepLimit: 5_000_000}))
+			},
+		}, nil
+	}
+}
+
 func TestMitigatePropagatedPointerCorruption(t *testing.T) {
 	r := newRig(t, miniKV)
 	if _, trap := r.m.Call("init_"); trap != nil {
@@ -134,18 +177,8 @@ func TestMitigatePropagatedPointerCorruption(t *testing.T) {
 	}
 
 	// Mitigate.
-	reexec := func() *vm.Trap {
-		r.restart()
-		if _, tp := r.m.Call("recover_"); tp != nil {
-			return tp
-		}
-		_, tp := r.m.Call("get", 0)
-		return tp
-	}
-	ctx := &Context{
-		Analysis: r.res, Trace: r.tr, Log: r.log, Pool: r.pool,
-		Fault: trap.Instr, AddrFault: trap.Kind == vm.TrapSegfault, ReExec: reexec,
-	}
+	ctx := r.context(trap, calls("get", 0))
+	ctx.AddrFault = trap.Kind == vm.TrapSegfault
 	rep := Mitigate(DefaultConfig(), ctx)
 	if !rep.Recovered {
 		t.Fatalf("mitigation failed: %v (last trap: %v)", rep, rep.LastTrap)
@@ -181,20 +214,11 @@ func TestMitigateRollbackMode(t *testing.T) {
 	if trap == nil {
 		t.Fatal("no fault")
 	}
-	reexec := func() *vm.Trap {
-		r.restart()
-		if _, tp := r.m.Call("recover_"); tp != nil {
-			return tp
-		}
-		_, tp := r.m.Call("get", 0)
-		return tp
-	}
 	cfg := DefaultConfig()
 	cfg.Mode = ModeRollback
-	rep := Mitigate(cfg, &Context{
-		Analysis: r.res, Trace: r.tr, Log: r.log, Pool: r.pool,
-		Fault: trap.Instr, AddrFault: true, ReExec: reexec,
-	})
+	ctx := r.context(trap, calls("get", 0))
+	ctx.AddrFault = true
+	rep := Mitigate(cfg, ctx)
 	if !rep.Recovered {
 		t.Fatalf("rollback mitigation failed: %v", rep)
 	}
@@ -217,21 +241,12 @@ func TestRollbackDiscardsMoreThanPurge(t *testing.T) {
 		if trap == nil {
 			t.Fatal("no fault")
 		}
-		reexec := func() *vm.Trap {
-			r.restart()
-			if _, tp := r.m.Call("recover_"); tp != nil {
-				return tp
-			}
-			_, tp := r.m.Call("get", 0)
-			return tp
-		}
 		cfg := DefaultConfig()
 		cfg.Mode = mode
 		cfg.FallbackToRollback = false
-		rep := Mitigate(cfg, &Context{
-			Analysis: r.res, Trace: r.tr, Log: r.log, Pool: r.pool,
-			Fault: trap.Instr, AddrFault: true, ReExec: reexec,
-		})
+		ctx := r.context(trap, calls("get", 0))
+		ctx.AddrFault = true
+		rep := Mitigate(cfg, ctx)
 		if !rep.Recovered {
 			t.Fatalf("mode %v failed: %v", mode, rep)
 		}
@@ -289,20 +304,9 @@ func TestBatchReversionFewerAttempts(t *testing.T) {
 		if trap == nil || trap.Kind != vm.TrapAssert {
 			t.Fatalf("trap = %v", trap)
 		}
-		reexec := func() *vm.Trap {
-			r.restart()
-			if _, tp := r.m.Call("recover_"); tp != nil {
-				return tp
-			}
-			_, tp := r.m.Call("check")
-			return tp
-		}
 		cfg := DefaultConfig()
 		cfg.Batch = batch
-		rep := Mitigate(cfg, &Context{
-			Analysis: r.res, Trace: r.tr, Log: r.log, Pool: r.pool,
-			Fault: trap.Instr, ReExec: reexec,
-		})
+		rep := Mitigate(cfg, r.context(trap, calls("check")))
 		if !rep.Recovered {
 			t.Fatalf("batch=%d failed: %v", batch, rep)
 		}
@@ -352,18 +356,8 @@ fn recover_() { return 0; }
 	if trap == nil || trap.Kind != vm.TrapSegfault {
 		t.Fatalf("trap = %v", trap)
 	}
-	reexec := func() *vm.Trap {
-		r.restart() // restart clears vptr
-		if _, tp := r.m.Call("recover_"); tp != nil {
-			return tp
-		}
-		_, tp := r.m.Call("use")
-		return tp
-	}
-	rep := Mitigate(DefaultConfig(), &Context{
-		Analysis: r.res, Trace: r.tr, Log: r.log, Pool: r.pool,
-		Fault: trap.Instr, ReExec: reexec,
-	})
+	// The probe's restart clears vptr.
+	rep := Mitigate(DefaultConfig(), r.context(trap, calls("use")))
 	if !rep.RestartOnly {
 		t.Fatalf("expected restart-only mitigation, got %v", rep)
 	}
@@ -383,15 +377,12 @@ func TestUnmitigableReportsFailure(t *testing.T) {
 	r.m.Call("put", 0, 1)
 	r.m.Call("evil", 777)
 	_, trap := r.m.Call("get", 0)
-	alwaysFail := func() *vm.Trap {
+	alwaysFail := func(*vm.Machine) *vm.Trap {
 		return &vm.Trap{Kind: vm.TrapUserFail, Code: 1}
 	}
 	cfg := DefaultConfig()
 	cfg.MaxAttempts = 5
-	rep := Mitigate(cfg, &Context{
-		Analysis: r.res, Trace: r.tr, Log: r.log, Pool: r.pool,
-		Fault: trap.Instr, ReExec: alwaysFail,
-	})
+	rep := Mitigate(cfg, r.context(trap, alwaysFail))
 	if rep.Recovered {
 		t.Fatal("reported recovery for unmitigable failure")
 	}
@@ -451,12 +442,11 @@ func TestPurgeFallsBackToRollback(t *testing.T) {
 	// The client's semantic requirement: when A is reverted, B must be
 	// back to its paired value 7 as well. Purge never touches B (it is
 	// outside A's slice); rollback unwinds it.
-	reexec := func() *vm.Trap {
-		r.restart()
-		if _, tp := r.m.Call("checkA"); tp != nil {
+	probe := func(m *vm.Machine) *vm.Trap {
+		if _, tp := m.Call("checkA"); tp != nil {
 			return tp
 		}
-		b, tp := r.m.Call("getB")
+		b, tp := m.Call("getB")
 		if tp != nil {
 			return tp
 		}
@@ -465,10 +455,7 @@ func TestPurgeFallsBackToRollback(t *testing.T) {
 		}
 		return nil
 	}
-	rep := Mitigate(DefaultConfig(), &Context{
-		Analysis: r.res, Trace: r.tr, Log: r.log, Pool: r.pool,
-		Fault: trap.Instr, ReExec: reexec,
-	})
+	rep := Mitigate(DefaultConfig(), r.context(trap, probe))
 	if !rep.FellBack {
 		t.Fatalf("expected purge->rollback fallback, got %v", rep)
 	}
@@ -605,17 +592,9 @@ func TestServerPrecomputeAndMitigate(t *testing.T) {
 	r.m.Call("put", 0, 100)
 	r.m.Call("evil", 777)
 	_, trap := r.m.Call("get", 0)
-	reexec := func() *vm.Trap {
-		r.restart()
-		if _, tp := r.m.Call("recover_"); tp != nil {
-			return tp
-		}
-		_, tp := r.m.Call("get", 0)
-		return tp
-	}
-	rep, err := srv.Mitigate("minikv", DefaultConfig(), &Context{
-		Trace: r.tr, Log: r.log, Pool: r.pool, Fault: trap.Instr, ReExec: reexec,
-	})
+	ctx := r.context(trap, calls("get", 0))
+	ctx.Analysis = nil // the server fills it in
+	rep, err := srv.Mitigate("minikv", DefaultConfig(), ctx)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -7,7 +7,6 @@ import (
 	"arthas/internal/checkpoint"
 	"arthas/internal/pmem"
 	"arthas/internal/trace"
-	"arthas/internal/vm"
 )
 
 // Two simultaneous mitigations through one server must not interfere: the
@@ -41,16 +40,8 @@ func TestServerConcurrentMitigations(t *testing.T) {
 		if trap == nil {
 			t.Fatalf("rig %d did not fail", k)
 		}
-		r := r
-		reexec := func() *vm.Trap {
-			r.restart()
-			if _, tp := r.m.Call("recover_"); tp != nil {
-				return tp
-			}
-			_, tp := r.m.Call("get", 0)
-			return tp
-		}
-		ctxs[k] = &Context{Trace: r.tr, Log: r.log, Pool: r.pool, Fault: trap.Instr, ReExec: reexec}
+		ctxs[k] = r.context(trap, calls("get", 0))
+		ctxs[k].Analysis = nil // the server fills it in
 	}
 
 	var wg sync.WaitGroup

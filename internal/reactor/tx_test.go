@@ -69,18 +69,7 @@ func TestTransactionRevertedAsUnit(t *testing.T) {
 		t.Fatalf("trap = %v", trap)
 	}
 
-	rep := Mitigate(DefaultConfig(), &Context{
-		Analysis: r.res, Trace: r.tr, Log: r.log, Pool: r.pool,
-		Fault: trap.Instr,
-		ReExec: func() *vm.Trap {
-			r.restart()
-			if _, tp := r.m.Call("recover_"); tp != nil {
-				return tp
-			}
-			_, tp := r.m.Call("check")
-			return tp
-		},
-	})
+	rep := Mitigate(DefaultConfig(), r.context(trap, calls("check")))
 	if !rep.Recovered {
 		t.Fatalf("not recovered: %v (last %v)", rep, rep.LastTrap)
 	}

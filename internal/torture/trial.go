@@ -204,7 +204,7 @@ func (t *trial) heal(trap *arthas.Trap, call *Call) bool {
 	if call != nil {
 		rep, err = inst.MitigateCall(call.Fn, call.Args...)
 	} else {
-		rep, err = inst.Mitigate(func() *arthas.Trap { return inst.Restart() })
+		rep, err = inst.Mitigate(func(on *arthas.Instance) *arthas.Trap { return on.Restart() })
 	}
 	if err != nil {
 		return t.fail("mitigation-error: " + err.Error())

@@ -2,6 +2,7 @@ package arthas
 
 import (
 	"bytes"
+	"sync"
 	"testing"
 
 	"arthas/internal/pmem"
@@ -249,5 +250,67 @@ func TestMediaHeaderBlockPoisonOpensDegraded(t *testing.T) {
 	}
 	if !inst2.LastScrub.Degraded || !inst2.Pool.MediaDegraded() {
 		t.Fatalf("header-block loss did not degrade the pool: %s", inst2.LastScrub)
+	}
+}
+
+// A probe can trap on media corruption inside a reversion trial: the medium
+// failing under the re-execution, not the reverted data. The trial's fork
+// scrubs and retries without charging an attempt, exactly as the live
+// instance does, so the heal costs the same attempts at any worker count.
+func TestMediaCorruptProbeHealsOnForks(t *testing.T) {
+	var reports []*Report
+	for _, workers := range []int{1, 4} {
+		cfg := Config{RecoverFn: "recover_"}
+		cfg.Reactor.Workers = workers
+		inst, err := New("demo", demoSource, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst.Call("init_")
+		for i := int64(0); i < 8; i++ {
+			inst.Call("put", i, 100+i)
+		}
+		inst.Call("corrupt", 999)
+		_, trap := inst.Call("get", 0)
+		inst.Observe(trap)
+		inst.Restart()
+		if _, trap = inst.Call("get", 0); trap == nil {
+			t.Fatal("corrupt pointer did not survive restart")
+		}
+		inst.Observe(trap)
+
+		// The medium flips a bit of the root block the first time each
+		// instance — live or fork — re-executes.
+		var mu sync.Mutex
+		flipped := map[*Instance]bool{}
+		probe := func(on *Instance) *Trap {
+			if tp := on.Restart(); tp != nil {
+				return tp
+			}
+			mu.Lock()
+			first := !flipped[on]
+			flipped[on] = true
+			mu.Unlock()
+			if first {
+				root, _ := on.Pool.Root(0)
+				if err := on.InjectMediaFault(MediaFault{Kind: MediaBitFlip, Addr: root + 1, Bits: 1 << 7}); err != nil {
+					t.Error(err)
+				}
+			}
+			_, tp := on.Call("get", 0)
+			return tp
+		}
+		rep, err := inst.Mitigate(probe)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !rep.Recovered || rep.ScrubRepairs == 0 {
+			t.Fatalf("workers=%d: %s, %d scrub repairs; want healed through scrub-then-retry", workers, rep, rep.ScrubRepairs)
+		}
+		reports = append(reports, rep)
+	}
+	if w1, w4 := reports[0], reports[1]; w1.Attempts != w4.Attempts || w1.ScrubRepairs != w4.ScrubRepairs {
+		t.Fatalf("attempts %d / scrubs %d at workers=1, %d / %d at workers=4",
+			w1.Attempts, w1.ScrubRepairs, w4.Attempts, w4.ScrubRepairs)
 	}
 }

@@ -10,6 +10,7 @@ package arthas_test
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -328,12 +329,12 @@ func checkAttachment(t *testing.T, inst *arthas.Instance, rec *obs.Recorder, cfg
 	names := func(err error, layers arthas.Layers) bool {
 		return err != nil && strings.Contains(err.Error(), layers.String())
 	}
-	reexec := func() *arthas.Trap { return nil }
+	reexec := func(*arthas.Instance) *arthas.Trap { return nil }
 	if missing := cfg.Detach & arthas.AllLayers; missing != 0 {
 		inst.Observe(&arthas.Trap{Kind: arthas.TrapAssert})
 		_, err1 := inst.Mitigate(reexec)
 		_, err2 := inst.MitigateCall("nope")
-		_, err3 := inst.MitigateWithFaults(nil, reexec)
+		_, err3 := inst.MitigateProbe(nil, false, reexec)
 		for _, err := range []error{err1, err2, err3} {
 			if !names(err, missing) {
 				t.Errorf("mitigation without %q: err = %v", missing, err)
@@ -347,46 +348,57 @@ func checkAttachment(t *testing.T, inst *arthas.Instance, rec *obs.Recorder, cfg
 	}
 }
 
-// Mitigation on the live pool (Workers ≤ 1) reverts, restarts and re-executes
-// under the same sink; totals stay exact through it.
+// Mitigation reverts and re-executes on forks, promotes the winner and
+// confirms it on the live instance; totals stay exact through it at any
+// worker count.
 func TestObsTotalsAcrossMitigation(t *testing.T) {
-	rec := obs.NewRecorder()
-	s := newInstanceStack(t, "kv", fleet.KVSource, "recover_", rec)
-	var zero layerTally
-	s.call("init_")
-	for k := int64(0); k < 8; k++ {
-		s.call("put", k, 100+k)
-		s.call("put", k, 200+k)
-	}
-	it, trap := s.call("locate", 5)
-	if trap != nil || it == 0 {
-		t.Fatalf("locate: %d %v", it, trap)
-	}
-	if err := s.inst.InjectBitFlip(uint64(it)+1, 3); err != nil {
-		t.Fatal(err)
-	}
-	for strike := 0; strike < 2; strike++ {
-		_, trap := s.call("get", 5)
-		if trap == nil {
-			t.Fatal("corrupted item served")
-		}
-		s.inst.Observe(trap)
-		s.checkTotals(t, "after strike", rec, zero)
-		if strike == 0 {
-			s.restart()
-		}
-	}
-	rep, err := s.inst.MitigateCall("get", 5)
-	if err != nil || !rep.Recovered {
-		t.Fatalf("mitigation: %+v %v", rep, err)
-	}
-	s.checkTotals(t, "after mitigation", rec, zero)
-	if v, trap := s.call("get", 5); trap != nil || v != 205 {
-		t.Fatalf("get(5) after mitigation = %d %v, want the checkpointed 205", v, trap)
-	}
-	s.checkTotals(t, "after the healed get", rec, zero)
-	if rec.CounterValue("ckpt.revert") == 0 {
-		t.Error("mitigation left no reversion telemetry")
+	for _, workers := range []int{1, 4} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			rec := obs.NewRecorder()
+			cfg := arthas.Config{RecoverFn: "recover_", Provenance: true, Observer: rec}
+			cfg.Reactor.Workers = workers
+			inst, err := arthas.New("kv", fleet.KVSource, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			s := stackOf(inst)
+			var zero layerTally
+			s.call("init_")
+			for k := int64(0); k < 8; k++ {
+				s.call("put", k, 100+k)
+				s.call("put", k, 200+k)
+			}
+			it, trap := s.call("locate", 5)
+			if trap != nil || it == 0 {
+				t.Fatalf("locate: %d %v", it, trap)
+			}
+			if err := s.inst.InjectBitFlip(uint64(it)+1, 3); err != nil {
+				t.Fatal(err)
+			}
+			for strike := 0; strike < 2; strike++ {
+				_, trap := s.call("get", 5)
+				if trap == nil {
+					t.Fatal("corrupted item served")
+				}
+				s.inst.Observe(trap)
+				s.checkTotals(t, "after strike", rec, zero)
+				if strike == 0 {
+					s.restart()
+				}
+			}
+			rep, err := s.inst.MitigateCall("get", 5)
+			if err != nil || !rep.Recovered {
+				t.Fatalf("mitigation: %+v %v", rep, err)
+			}
+			s.checkTotals(t, "after mitigation", rec, zero)
+			if v, trap := s.call("get", 5); trap != nil || v != 205 {
+				t.Fatalf("get(5) after mitigation = %d %v, want the checkpointed 205", v, trap)
+			}
+			s.checkTotals(t, "after the healed get", rec, zero)
+			if rec.CounterValue("ckpt.revert") == 0 {
+				t.Error("mitigation left no reversion telemetry")
+			}
+		})
 	}
 }
 

@@ -89,11 +89,11 @@ func TestImageRoundTripPreservesHistory(t *testing.T) {
 		t.Fatal("hard fault did not travel")
 	}
 	inst2.Observe(trap)
-	rep, err := inst2.Mitigate(func() *Trap {
-		if tp := inst2.Restart(); tp != nil {
+	rep, err := inst2.Mitigate(func(on *Instance) *Trap {
+		if tp := on.Restart(); tp != nil {
 			return tp
 		}
-		_, tp := inst2.Call("get", 0)
+		_, tp := on.Call("get", 0)
 		return tp
 	})
 	if err != nil {

@@ -6,6 +6,7 @@ package arthas
 // get one allocated, and a fork must not carry a read ring it can never write.
 
 import (
+	"fmt"
 	"runtime"
 	"testing"
 )
@@ -43,6 +44,30 @@ func TestRestartAndForkAllocateWhatTheyTouch(t *testing.T) {
 	if fork := allocPerOp(64, func() { inst.Fork() }); fork > 64<<10 {
 		t.Errorf("Fork of counter.pml at empty history allocates %d B, want <= 64 KiB", fork)
 	}
+	// A fork shares the checkpoint log's history instead of copying it.
+	shortInst, longInst := withHistory(t, 300), withHistory(t, 12_000)
+	short := allocPerOp(64, func() { shortInst.Fork() })
+	long := allocPerOp(64, func() { longInst.Fork() })
+	if long > 2*short {
+		t.Errorf("Fork of linkedset.pml allocates %d B at 12 000 versions, %d B at 300; want <= 2x", long, short)
+	}
+}
+
+// withHistory is linkedset.pml after enough inserts that its checkpoint log
+// has recorded at least versions versions. Inserts descend, so each lands
+// at the head of the list and the history grows without the list walk.
+func withHistory(tb testing.TB, versions uint64) *Instance {
+	tb.Helper()
+	inst := loadFixture(tb, "linkedset.pml")
+	if _, trap := inst.Call("init_"); trap != nil {
+		tb.Fatal(trap)
+	}
+	for v := int64(1 << 40); inst.Log.TotalVersions() < versions; v-- {
+		if _, trap := inst.Call("insert", v); trap != nil {
+			tb.Fatal(trap)
+		}
+	}
+	return inst
 }
 
 func BenchmarkRestart(b *testing.B) {
@@ -62,5 +87,20 @@ func BenchmarkFork(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		inst.Fork()
+	}
+}
+
+// BenchmarkForkHistory is BenchmarkFork against a growing checkpoint log:
+// a reactor trial pays it once, so it must not grow with the history.
+func BenchmarkForkHistory(b *testing.B) {
+	for _, versions := range []uint64{300, 3_000, 12_000} {
+		b.Run(fmt.Sprintf("versions=%d", versions), func(b *testing.B) {
+			inst := withHistory(b, versions)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				inst.Fork()
+			}
+		})
 	}
 }
