@@ -23,8 +23,9 @@
 //	                                                optimize; parallel only with -workers > 1)
 //	-json   also write the units that ran as one arthas-bench/v1 JSON
 //	        document, one section per unit
-//	-workers N > 1 adds the sequential-vs-parallel speculative-mitigation
-//	        comparison to all; fleet runs its shards' mitigation at N workers
+//	-workers N runs every mitigation's reversion trials N at a time (the
+//	        matrix and batch outcomes are the same at any N); N > 1 also
+//	        adds the one-vs-N worker comparison to all
 //
 // A flag that no selected unit reads (-exp table3 -ycsb 5) exits 2 with
 // usage. -exp optimize reads testdata/*.pml: run it from the repo root.
@@ -62,7 +63,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.IntVar(&cfg.Inserts, "inserts", 100_000, "insert ops for overhead runs")
 	fs.IntVar(&cfg.Seeds, "seeds", 10, "seeds for probabilistic pmCRIU cases")
 	jsonOut := fs.String("json", "", "also write the units that ran as one JSON document to this file")
-	fs.IntVar(&cfg.Workers, "workers", 1, "add a sequential-vs-parallel mitigation comparison at this worker count (1 = off)")
+	fs.IntVar(&cfg.Workers, "workers", 1, "reversion trials run at a time; > 1 also adds the one-vs-N worker comparison")
 	fs.IntVar(&cfg.Clients, "clients", 0, "closed-loop clients for fleet and repl (0 = defaults)")
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {

@@ -9,9 +9,10 @@
 //	             [-ops N] [-batch N] [-workers N] [-trace FILE] [-metrics]
 //	             [-flight N] [-debug ADDR] [-incident FILE] f1..f12
 //
-// -workers N > 1 runs the Arthas reversion search speculatively in
-// parallel on copy-on-write pool forks (docs/PARALLEL_MITIGATION.md); the
-// mitigation outcome is identical to the sequential search's.
+// -workers N runs up to N of the Arthas reversion trials at a time, each on
+// a copy-on-write fork of the pool and checkpoint log
+// (docs/PARALLEL_MITIGATION.md); the mitigation outcome is identical at any
+// N.
 //
 // -trace FILE writes the full pipeline telemetry (run/detect/plan/revert/
 // re-execute spans plus per-layer metrics) as JSONL; -metrics prints a
@@ -41,7 +42,7 @@ func main() {
 	mode := flag.String("mode", "purge", "arthas reversion mode: purge or rollback")
 	ops := flag.Int("ops", 0, "workload operations (0 = case default)")
 	batch := flag.Int("batch", 1, "sequence numbers reverted per re-execution")
-	workers := flag.Int("workers", 1, "speculative mitigation workers (1 = sequential search)")
+	workers := flag.Int("workers", 1, "reversion trials run at a time, each on its own fork")
 	traceFile := flag.String("trace", "", "write telemetry (spans + metrics) as JSONL to this file")
 	metrics := flag.Bool("metrics", false, "print a telemetry summary to stderr on exit")
 	flight := flag.Int("flight", obs.DefaultFlightEvents, "flight-recorder ring size in events (0 disables)")

@@ -11,9 +11,9 @@
 // Script statements are semicolon-separated function calls with integer
 // arguments, plus the pseudo-ops "restart" (crash + restart) and "stats".
 //
-// -workers N > 1 makes the "mitigate FN ARGS" pseudo-op search candidate
-// reversions speculatively in parallel on copy-on-write pool forks
-// (docs/PARALLEL_MITIGATION.md); the outcome matches the sequential search.
+// -workers N makes the "mitigate FN ARGS" pseudo-op run up to N candidate
+// reversion trials at a time, each on a copy-on-write fork
+// (docs/PARALLEL_MITIGATION.md); the outcome is the same at any N.
 //
 // -trace FILE streams the full telemetry (spans + metrics from every
 // runtime layer) as JSONL. The file is opened at startup and spans are
@@ -44,7 +44,7 @@ import (
 func main() {
 	recoverFn := flag.String("recover", "", "recovery function run on restart")
 	pool := flag.Int("pool", 1<<16, "pool size in words")
-	workers := flag.Int("workers", 1, "speculative workers for the script's mitigate pseudo-op (1 = sequential)")
+	workers := flag.Int("workers", 1, "reversion trials the script's mitigate pseudo-op runs at a time")
 	poolFile := flag.String("poolfile", "", "image file: reopened if it exists, saved on exit (durable state AND mitigation history persist across invocations)")
 	traceFile := flag.String("trace", "", "stream telemetry (spans + metrics) as JSONL to this file")
 	metrics := flag.Bool("metrics", false, "print a telemetry summary to stderr on exit")

@@ -48,6 +48,7 @@ func RunBatchComparison(base faults.RunConfig) (*BatchResults, error) {
 			cfg := base
 			cfg.Reactor = reactor.DefaultConfig()
 			cfg.Reactor.Batch = batch
+			cfg.Reactor.Workers = base.Reactor.Workers
 			o, err := faults.RunArthas(b, cfg)
 			if err != nil {
 				return nil, fmt.Errorf("%s batch=%d: %w", b.ID, batch, err)

@@ -100,6 +100,7 @@ func RunMatrix(cfg MatrixConfig) (*Matrix, error) {
 		rbCfg := cfg.Run
 		rbCfg.Reactor = reactor.DefaultConfig()
 		rbCfg.Reactor.Mode = reactor.ModeRollback
+		rbCfg.Reactor.Workers = cfg.Run.Reactor.Workers
 		out, err = faults.RunArthas(b, rbCfg)
 		if err != nil {
 			return nil, fmt.Errorf("%s arthas-rollback: %w", b.ID, err)

@@ -9,8 +9,8 @@ import (
 )
 
 // Sequential-vs-parallel mitigation comparison (docs/PARALLEL_MITIGATION.md):
-// every non-leak case is mitigated twice — once with the sequential search
-// and once speculatively at the requested worker count — and the report
+// every non-leak case is mitigated twice — once with one trial at a time
+// and once with the requested number of workers — and the report
 // records the wall-time speedup plus whether the mitigation outcomes match
 // (they must; divergence is a bug, not a measurement).
 

@@ -26,11 +26,15 @@ type Config struct {
 	YCSB    int // -ycsb: YCSB ops per overhead run
 	Inserts int // -inserts: insert ops per overhead run
 	Seeds   int // -seeds: seeds for the probabilistic pmCRIU cases
-	Workers int // -workers: speculative mitigation workers; > 1 adds parallel to all
+	Workers int // -workers: reversion trials run at a time; > 1 adds parallel to all
 	Clients int // -clients: closed-loop clients (fleet, repl)
 }
 
-func (c Config) faultRun() faults.RunConfig { return faults.RunConfig{WorkloadOps: c.Ops} }
+func (c Config) faultRun() faults.RunConfig {
+	run := faults.RunConfig{WorkloadOps: c.Ops}
+	run.Reactor.Workers = c.Workers
+	return run
+}
 
 // Report holds the result of every unit one Run executed. Its fields are
 // the document's sections in order; a unit that did not run leaves its
@@ -95,7 +99,7 @@ var units = []*unit{
 		}},
 	{name: "dataset", title: "Fault dataset (paper §6.1)",
 		views: []view{{"table2", func(*Report) string { return Table2() }}}},
-	{name: "matrix", title: "Recoverability matrix (paper §6.2-§6.4)", flags: "ops seeds",
+	{name: "matrix", title: "Recoverability matrix (paper §6.2-§6.4)", flags: "ops seeds workers",
 		run: func(r *Report, c Config) (err error) {
 			r.Matrix, err = RunMatrix(MatrixConfig{Run: c.faultRun(), Seeds: c.Seeds})
 			return err
@@ -108,9 +112,9 @@ var units = []*unit{
 			{"fig9", func(r *Report) string { return r.Matrix.Fig9() }},
 			{"fig11", func(r *Report) string { return r.Matrix.Fig11() }},
 		}},
-	{name: "batch", title: "Reversion strategies (paper §6.5)",
-		run: func(r *Report, _ Config) (err error) {
-			r.Batch, err = RunBatchComparison(faults.RunConfig{})
+	{name: "batch", title: "Reversion strategies (paper §6.5)", flags: "workers",
+		run: func(r *Report, c Config) (err error) {
+			r.Batch, err = RunBatchComparison(faults.RunConfig{Reactor: c.faultRun().Reactor})
 			return err
 		},
 		views: []view{

@@ -10,9 +10,9 @@ import (
 // DEEP in the plan order: check() reads every cell through one hot load
 // instruction, so candidates follow address recency — and the poisoned
 // write to cell 2 is older than a full round of benign writes to the other
-// cells. The sequential search must fail through every newer candidate
-// before reaching it; the speculative search probes candidates on
-// copy-on-write pool forks, Workers at a time, with an identical outcome.
+// cells. At one worker the search must fail through every newer candidate
+// before reaching it; with more it probes candidates on copy-on-write
+// forks, Workers at a time, with an identical outcome.
 //
 // Each re-execution restarts the system, and the benchmark instances carry
 // a simulated RestartLatency (a real PM system pays process exec + pool

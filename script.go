@@ -44,8 +44,7 @@ func (i *Instance) RunScript(script string) ([]string, error) {
 			if err != nil {
 				return out, err
 			}
-			// The recipe form enables the parallel speculative search
-			// when the instance was configured with Reactor.Workers > 1.
+			// Reversion trials run on forks, Reactor.Workers at a time.
 			rep, err := i.MitigateCall(fields[1], args...)
 			if err != nil {
 				return out, err
